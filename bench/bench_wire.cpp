@@ -18,9 +18,9 @@
 //
 //   --cbench [--connections N] [--rounds R]
 //       Closed-loop latency over TCP loopback: the full serve stack
-//       (controller + shield + L2 learning app + epoll frontend) measured
-//       by net::runCbenchClient. Same row shape as `sdnshield cbench
-//       --json`.
+//       (controller on a one-shard runtime + shield + L2 learning app +
+//       epoll frontend) measured by net::runCbenchClient. Same row shape
+//       as `sdnshield cbench --json`.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -39,6 +39,7 @@
 #include "net/of_server.h"
 #include "of/packet.h"
 #include "of/wire.h"
+#include "shard/shard_runtime.h"
 
 namespace {
 
@@ -73,19 +74,27 @@ std::size_t raiseFdLimit() {
 }
 
 /// The serve stack behind the benchmarked socket: identical to
-/// `sdnshield serve`.
+/// `sdnshield serve` at its default of one shard — packet-ins hop to the
+/// shard loop and policy publishes fence it.
 struct ServeStack {
   ctrl::Controller controller;
+  shard::ShardRuntime shards;
   iso::ShieldRuntime shield{controller};
   net::OfServer server;
 
   ServeStack() : server(controller) {
+    shards.start();
+    shards.attach(controller);
+    shards.attachEngine(shield.engine());
     auto app = std::make_shared<apps::L2LearningSwitch>();
     shield.loadApp(app, lang::parsePermissions(app->requestedManifest()));
   }
   ~ServeStack() {
     server.stop();
     shield.shutdown();
+    shards.detachEngine(shield.engine());
+    shards.detach(controller);
+    shards.stop();
   }
 };
 

@@ -13,7 +13,10 @@
 #      checked-in artifacts (BENCH_perm_engine.json,
 #      BENCH_reconciliation_live.json, BENCH_throughput_pressure.json) are
 #      schema-validated too, and check_bench_regress.py gates the smoke
-#      NUMBERS against scripts/bench_baselines.json tolerance bands.
+#      NUMBERS against scripts/bench_baselines.json tolerance bands. Last,
+#      the bench_e2e package (BENCHMARK.json's benchmark) is built in its
+#      own tree with -Werror against src/ and its smoke test runs, so a
+#      src/ change that breaks the benchmark fails here.
 #   3. Wire loopback TCP smoke (DESIGN.md §15): bench_wire's framing row,
 #      then a real `sdnshield serve` process driven by `sdnshield cbench`
 #      over 127.0.0.1 — the full epoll frontend, handshake, and closed-loop
@@ -109,6 +112,10 @@ python3 scripts/check_bench_json.py --schema scripts/bench_schema.json \
     --key live_update_row --jsonl BENCH_reconciliation_live.json
 python3 scripts/check_bench_json.py --schema scripts/bench_schema.json \
     --key perm_engine_summary BENCH_perm_engine.json
+# The end-to-end benchmark package builds src/ in its own tree.
+cmake -S bench_e2e -B .bench_build >/dev/null
+cmake --build .bench_build --target bench_e2e -j "$JOBS"
+ctest --test-dir .bench_build -L bench --output-on-failure --no-tests=error
 
 echo "=== [3/8] Wire loopback TCP smoke (serve + cbench over 127.0.0.1) ==="
 # Framing throughput row (pure CPU, no sockets) starts the smoke file.

@@ -29,12 +29,6 @@ struct DispatchMetrics {
       obs::Registry::global().counter("controller.dispatched");
   obs::Counter faults =
       obs::Registry::global().counter("controller.dispatch_faults");
-  /// Packet-in dispatches routed to a shard event loop vs. run inline on
-  /// the calling thread (no dispatch attached == the pre-shard pipeline).
-  obs::Counter sharded =
-      obs::Registry::global().counter("controller.dispatch_sharded");
-  obs::Counter inline_ =
-      obs::Registry::global().counter("controller.dispatch_inline");
 };
 
 const DispatchMetrics& dispatchMetrics() {
@@ -134,9 +128,9 @@ std::string StatsReport::toJson() const {
 StatsReport Controller::statsReport() const {
   StatsReport report;
   if (ShardDispatch* shards = shardDispatch()) {
-    // Merge fence: every shard loop finishes its in-flight work (pending
-    // mirror updates, posted deliveries) before the snapshot is taken, so
-    // the per-shard counters in the merged view are mutually consistent.
+    // Merge fence: every shard loop finishes its in-flight deliveries
+    // before the snapshot is taken, so the per-shard counters in the merged
+    // view are mutually consistent.
     shards->fenceShards();
   }
   report.metrics = obs::Registry::global().snapshot();
@@ -172,11 +166,6 @@ ApiResult Controller::attachSwitch(std::shared_ptr<SwitchConn> conn,
     topology_.addSwitch(info.dpid);
   }
   obs::Registry::global().counter("controller.switch_attached").increment();
-  if (ShardDispatch* shards = shardDispatch()) {
-    // Home-shard assignment: the owning event loop materializes this
-    // switch's FlowTable mirror before any packet-in can race it there.
-    shards->noteSwitchAttached(info.dpid);
-  }
   emitTopologyEvent(TopologyEvent{TopologyChange::kSwitchUp, info.dpid, 0});
   return ApiResult::success();
 }
@@ -195,7 +184,6 @@ void Controller::detachSwitch(of::DatapathId dpid) {
     switches_.erase(dpid);
     topology_.removeSwitch(dpid);
   }
-  if (ShardDispatch* shards = shardDispatch()) shards->dropSwitchState(dpid);
   emitTopologyEvent(TopologyEvent{TopologyChange::kSwitchDown, dpid, 0});
 }
 
@@ -217,28 +205,14 @@ void Controller::learnHost(const net::Host& host) {
 }
 
 void Controller::onPacketIn(const of::PacketIn& packetIn) {
-  std::vector<Interceptor> interceptors;
-  std::vector<Subscriber> subscribers;
-  {
-    std::lock_guard lock(mutex_);
-    interceptors = packetInInterceptors_;
-    subscribers = packetInSubscribers_;
-  }
-  if (ShardDispatch* shards = shardDispatch()) {
-    // Hop to the event loop owning this switch; the caller (a wire reactor,
-    // a cbench generator, a sim switch) blocks until delivery completes, so
-    // per-switch packet-in order is preserved exactly as in the inline path.
-    dispatchMetrics().sharded.increment();
-    shards->runOnShard(shards->shardOf(packetIn.dpid), [&] {
-      dispatchPacketIn(packetIn, interceptors, subscribers);
-    });
-    return;
-  }
-  dispatchMetrics().inline_.increment();
-  dispatchPacketIn(packetIn, interceptors, subscribers);
+  routePacketIns({&packetIn, 1});
 }
 
 void Controller::onPacketIns(const std::vector<of::PacketIn>& batch) {
+  routePacketIns(batch);
+}
+
+void Controller::routePacketIns(std::span<const of::PacketIn> batch) {
   if (batch.empty()) return;
   std::vector<Interceptor> interceptors;
   std::vector<Subscriber> subscribers;
@@ -247,29 +221,38 @@ void Controller::onPacketIns(const std::vector<of::PacketIn>& batch) {
     interceptors = packetInInterceptors_;
     subscribers = packetInSubscribers_;
   }
-  if (ShardDispatch* shards = shardDispatch()) {
-    // Split the batch by home shard, preserving arrival order within each
-    // shard (and therefore per-switch order). With shards=1 this is one
-    // group in original order — bit-identical to the inline loop below.
-    dispatchMetrics().sharded.increment();
-    std::size_t shardCount = shards->shardCount();
-    std::vector<std::vector<const of::PacketIn*>> groups(shardCount);
+  auto dispatchAll = [&] {
     for (const of::PacketIn& packetIn : batch) {
-      groups[shards->shardOf(packetIn.dpid)].push_back(&packetIn);
+      dispatchPacketIn(packetIn, interceptors, subscribers);
     }
-    for (std::size_t s = 0; s < shardCount; ++s) {
-      if (groups[s].empty()) continue;
-      shards->runOnShard(s, [&, s] {
-        for (const of::PacketIn* packetIn : groups[s]) {
-          dispatchPacketIn(*packetIn, interceptors, subscribers);
-        }
-      });
-    }
+  };
+  ShardDispatch* shards = shardDispatch();
+  if (shards == nullptr) {
+    dispatchAll();
     return;
   }
-  dispatchMetrics().inline_.increment();
+  // Hop to the event loop owning each switch; the caller (a wire reactor, a
+  // cbench generator, a sim switch) blocks until delivery completes, so
+  // per-switch packet-in order is preserved exactly as inline.
+  std::size_t home = shards->shardOf(batch.front().dpid);
+  if (std::all_of(batch.begin(), batch.end(), [&](const of::PacketIn& p) {
+        return shards->shardOf(p.dpid) == home;
+      })) {
+    shards->runOnShard(home, [&dispatchAll] { dispatchAll(); });
+    return;
+  }
+  // Mixed homes: split by shard, keeping arrival order within each group.
+  std::vector<std::vector<const of::PacketIn*>> groups(shards->shardCount());
   for (const of::PacketIn& packetIn : batch) {
-    dispatchPacketIn(packetIn, interceptors, subscribers);
+    groups[shards->shardOf(packetIn.dpid)].push_back(&packetIn);
+  }
+  for (std::size_t s = 0; s < groups.size(); ++s) {
+    if (groups[s].empty()) continue;
+    shards->runOnShard(s, [&, s] {
+      for (const of::PacketIn* packetIn : groups[s]) {
+        dispatchPacketIn(*packetIn, interceptors, subscribers);
+      }
+    });
   }
 }
 
@@ -295,23 +278,12 @@ void Controller::onFlowRemoved(const of::FlowRemoved& removed) {
   // The cookie carries the issuing app id (stamped at insert time).
   ownership_.recordDelete(removed.dpid, removed.match, removed.priority,
                           /*strict=*/true);
-  if (ShardDispatch* shards = shardDispatch()) {
-    of::FlowMod expire;
-    expire.command = of::FlowModCommand::kDeleteStrict;
-    expire.match = removed.match;
-    expire.priority = removed.priority;
-    expire.cookie = removed.cookie;
-    shards->noteFlowMods(removed.dpid, {expire});
-  }
-  std::vector<Subscriber> subscribers;
-  {
-    std::lock_guard lock(mutex_);
-    subscribers = flowSubscribers_;
-  }
   Event event{FlowEvent{removed.dpid, FlowChange::kRemoved, removed.match,
                         removed.priority,
                         static_cast<of::AppId>(removed.cookie)}};
-  for (const Subscriber& subscriber : subscribers) deliver(subscriber, event);
+  for (const Subscriber& subscriber : snapshot(flowSubscribers_)) {
+    deliver(subscriber, event);
+  }
 }
 
 SubscriptionId Controller::addPacketInInterceptor(of::AppId app,
@@ -323,13 +295,10 @@ SubscriptionId Controller::addPacketInInterceptor(of::AppId app,
 }
 
 void Controller::onSwitchError(const of::ErrorMsg& error) {
-  std::vector<Subscriber> subscribers;
-  {
-    std::lock_guard lock(mutex_);
-    subscribers = errorSubscribers_;
-  }
   Event event{ErrorEvent{error}};
-  for (const Subscriber& subscriber : subscribers) deliver(subscriber, event);
+  for (const Subscriber& subscriber : snapshot(errorSubscribers_)) {
+    deliver(subscriber, event);
+  }
 }
 
 ApiResult Controller::kernelInsertFlow(of::AppId issuer, of::DatapathId dpid,
@@ -350,18 +319,12 @@ ApiResult Controller::kernelInsertFlow(of::AppId issuer, of::DatapathId dpid,
   bool modify = mod.command == of::FlowModCommand::kModify ||
                 mod.command == of::FlowModCommand::kModifyStrict;
   if (!modify) ownership_.recordInsert(issuer, dpid, mod.match, mod.priority);
-  if (ShardDispatch* shards = shardDispatch()) {
-    shards->noteFlowMods(dpid, {stamped});
-  }
-  std::vector<Subscriber> subscribers;
-  {
-    std::lock_guard lock(mutex_);
-    subscribers = flowSubscribers_;
-  }
   Event event{FlowEvent{dpid,
                         modify ? FlowChange::kModified : FlowChange::kInstalled,
                         mod.match, mod.priority, issuer}};
-  for (const Subscriber& subscriber : subscribers) deliver(subscriber, event);
+  for (const Subscriber& subscriber : snapshot(flowSubscribers_)) {
+    deliver(subscriber, event);
+  }
   return ApiResult::success();
 }
 
@@ -375,23 +338,7 @@ ApiResult Controller::kernelInsertFlows(of::AppId issuer, of::DatapathId dpid,
   std::vector<of::FlowMod> stamped = mods;
   for (of::FlowMod& mod : stamped) mod.cookie = issuer;
   std::vector<ApiResult> applied = conn->applyFlowMods(stamped);
-  if (ShardDispatch* shards = shardDispatch()) {
-    // Only the mods the switch accepted reach the mirror, so the shard view
-    // tracks the real table, not the request stream.
-    std::vector<of::FlowMod> accepted;
-    accepted.reserve(stamped.size());
-    for (std::size_t i = 0; i < stamped.size(); ++i) {
-      if (i < applied.size() && applied[i].ok()) {
-        accepted.push_back(stamped[i]);
-      }
-    }
-    if (!accepted.empty()) shards->noteFlowMods(dpid, accepted);
-  }
-  std::vector<Subscriber> subscribers;
-  {
-    std::lock_guard lock(mutex_);
-    subscribers = flowSubscribers_;
-  }
+  std::vector<Subscriber> subscribers = snapshot(flowSubscribers_);
   ApiResult result = ApiResult::success();
   for (std::size_t i = 0; i < mods.size(); ++i) {
     if (i < applied.size() && !applied[i].ok()) {
@@ -431,15 +378,11 @@ ApiResult Controller::kernelDeleteFlow(of::AppId issuer, of::DatapathId dpid,
     return applied;
   }
   ownership_.recordDelete(dpid, match, priority, strict);
-  if (ShardDispatch* shards = shardDispatch()) shards->noteFlowMods(dpid, {mod});
-  std::vector<Subscriber> subscribers;
-  {
-    std::lock_guard lock(mutex_);
-    subscribers = flowSubscribers_;
-  }
   Event event{
       FlowEvent{dpid, FlowChange::kRemoved, match, priority, issuer}};
-  for (const Subscriber& subscriber : subscribers) deliver(subscriber, event);
+  for (const Subscriber& subscriber : snapshot(flowSubscribers_)) {
+    deliver(subscriber, event);
+  }
   return ApiResult::success();
 }
 
@@ -479,13 +422,8 @@ ApiResult Controller::kernelSendPacketOut(const of::PacketOut& packetOut) {
 void Controller::kernelPublishData(of::AppId publisher,
                                    const std::string& topic,
                                    const std::string& payload) {
-  std::vector<Subscriber> subscribers;
-  {
-    std::lock_guard lock(mutex_);
-    subscribers = dataSubscribers_;
-  }
   Event event{DataUpdateEvent{topic, payload, publisher}};
-  for (const Subscriber& subscriber : subscribers) {
+  for (const Subscriber& subscriber : snapshot(dataSubscribers_)) {
     if (subscriber.topic == topic) deliver(subscriber, event);
   }
 }
@@ -594,14 +532,17 @@ std::vector<of::DatapathId> Controller::switchIds() const {
   return out;
 }
 
+std::vector<Controller::Subscriber> Controller::snapshot(
+    const std::vector<Subscriber>& list) const {
+  std::lock_guard lock(mutex_);
+  return list;
+}
+
 void Controller::emitTopologyEvent(const TopologyEvent& topoEvent) {
-  std::vector<Subscriber> subscribers;
-  {
-    std::lock_guard lock(mutex_);
-    subscribers = topologySubscribers_;
-  }
   Event event{topoEvent};
-  for (const Subscriber& subscriber : subscribers) deliver(subscriber, event);
+  for (const Subscriber& subscriber : snapshot(topologySubscribers_)) {
+    deliver(subscriber, event);
+  }
 }
 
 }  // namespace sdnshield::ctrl

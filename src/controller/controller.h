@@ -12,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,8 +28,7 @@ namespace sdnshield::ctrl {
 /// Identity and transport metadata live in ConnectionInfo, supplied to
 /// Controller::attachSwitch at registration time — the kernel, supervisor
 /// and obs instrumentation never care whether the far end is an in-process
-/// SimSwitch, a codec-interposing WireSwitchConn or a real TCP peer behind
-/// the epoll reactor.
+/// SimSwitch or a real TCP peer behind the epoll reactor.
 ///
 /// Every send is typed: failures carry an ApiErrc (kTableFull from the
 /// switch, kConnClosed when the peer is gone, kFramingError when the wire
@@ -62,8 +62,7 @@ class SwitchConn {
 /// features handshake, not from the socket.
 struct ConnectionInfo {
   of::DatapathId dpid = 0;
-  /// Transport tag: "sim" (in-process), "wire" (codec-interposed
-  /// in-process), "tcp" (epoll reactor frontend).
+  /// Transport tag: "sim" (in-process) or "tcp" (epoll reactor frontend).
   std::string transport = "sim";
   /// Human-readable peer description ("in-process", "127.0.0.1:49152").
   std::string peer = "in-process";
@@ -74,13 +73,12 @@ struct ConnectionInfo {
 
 /// Seam for the sharding subsystem (src/shard, DESIGN.md §16). When a
 /// dispatch is attached, packet-in delivery hops to the event loop owning
-/// the punting switch, kernel flow operations feed the owning shard's
-/// FlowTable mirror, and topology-wide operations (quarantine, stats
+/// the punting switch, and topology-wide operations (quarantine, stats
 /// merges) fence every shard loop. Implemented by shard::ShardRuntime; the
 /// controller only sees this narrow interface so the dependency points
 /// shard -> controller, never back. With no dispatch attached (the
-/// default), every path below is a single relaxed load and the controller
-/// behaves exactly as the pre-shard single pipeline.
+/// default), packet-ins are delivered on the calling thread — the same
+/// order a one-shard runtime produces.
 class ShardDispatch {
  public:
   virtual ~ShardDispatch() = default;
@@ -97,12 +95,6 @@ class ShardDispatch {
   /// Returns false (and does nothing) when called from a shard loop itself,
   /// where blocking on sibling loops could deadlock.
   virtual bool fenceShards() = 0;
-  /// Mirror maintenance: a switch registration creates its (empty) view on
-  /// the home shard; applied flow-mods update it; detach drops it.
-  virtual void noteSwitchAttached(of::DatapathId dpid) = 0;
-  virtual void noteFlowMods(of::DatapathId dpid,
-                            const std::vector<of::FlowMod>& mods) = 0;
-  virtual void dropSwitchState(of::DatapathId dpid) = 0;
 };
 
 class Controller {
@@ -111,10 +103,10 @@ class Controller {
 
   // --- southbound / topology learning -------------------------------------
   /// The single registration entry point for every transport: SimNetwork's
-  /// in-process switches, WireSwitchConn adapters and the epoll frontend's
-  /// TcpSwitchConn all land here. (The old attachSwitch(conn) overload that
-  /// pulled the dpid out of the connection is gone — identity is descriptor
-  /// state, not datapath interface.) A re-attach for a live dpid replaces
+  /// in-process switches and the epoll frontend's TcpSwitchConn both land
+  /// here. (The old attachSwitch(conn) overload that pulled the dpid out of
+  /// the connection is gone — identity is descriptor state, not datapath
+  /// interface.) A re-attach for a live dpid replaces
   /// the previous connection (reconnect semantics). Fails with
   /// kInvalidArgument on a null conn or a zero dpid.
   ApiResult attachSwitch(std::shared_ptr<SwitchConn> conn,
@@ -211,9 +203,9 @@ class Controller {
   /// contract as setMarketControl: the caller clears it (and fences) before
   /// the ShardDispatch is destroyed. With a dispatch attached, onPacketIn /
   /// onPacketIns run their delivery on the owning shard's event loop,
-  /// kernel flow ops feed the shard FlowTable mirrors, removeSubscribers
-  /// fences every loop (quarantine barrier) and statsReport fences before
-  /// snapshotting so per-shard counters are merged consistently.
+  /// removeSubscribers fences every loop (quarantine barrier) and
+  /// statsReport fences before snapshotting so per-shard counters are
+  /// merged consistently.
   void setShardDispatch(ShardDispatch* dispatch) {
     shardDispatch_.store(dispatch, std::memory_order_release);
   }
@@ -242,9 +234,15 @@ class Controller {
     std::string topic;  // Data subscribers only.
   };
 
+  /// Copies @p list under the controller lock, so delivery runs unlocked.
   std::vector<Subscriber> snapshot(const std::vector<Subscriber>& list) const;
   void emitTopologyEvent(const TopologyEvent& event);
   struct Interceptor;
+  /// Shared body of onPacketIn/onPacketIns: snapshots interceptors and
+  /// subscribers under one lock, then delivers every packet-in — inline
+  /// without a shard dispatch, else on each packet's home shard loop (one
+  /// hop when the whole batch shares a home shard).
+  void routePacketIns(std::span<const of::PacketIn> batch);
   void dispatchPacketIn(const of::PacketIn& packetIn,
                         const std::vector<Interceptor>& interceptors,
                         const std::vector<Subscriber>& subscribers);

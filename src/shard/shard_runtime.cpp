@@ -1,5 +1,6 @@
 #include "shard/shard_runtime.h"
 
+#include <chrono>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -9,23 +10,21 @@
 #include "core/engine/permission_engine.h"
 #include "isolation/executor.h"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace sdnshield::shard {
 
 namespace {
 
+/// Per-shard ring capacity (a power of two). A full ring back-pressures
+/// producers with a spin-yield, never a lock.
+constexpr std::size_t kRingCapacity = 4096;
+/// Idle doorbell wait; bounds shutdown latency, not correctness.
+constexpr std::chrono::milliseconds kIdleWait{50};
+
 struct RuntimeMetrics {
   obs::Counter calls = obs::Registry::global().counter("shard.calls");
-  obs::Counter posts = obs::Registry::global().counter("shard.posts");
   obs::Counter inlineRuns = obs::Registry::global().counter("shard.inline");
   obs::Counter fences = obs::Registry::global().counter("shard.fences");
   obs::Counter taskFaults = obs::Registry::global().counter("shard.task_faults");
-  obs::Counter pinFailures =
-      obs::Registry::global().counter("shard.pin_failures");
 };
 
 const RuntimeMetrics& metrics() {
@@ -39,22 +38,6 @@ const RuntimeMetrics& metrics() {
 thread_local const void* t_loopRuntime = nullptr;
 thread_local std::size_t t_loopShard = 0;
 
-void pinToCore(std::size_t index) {
-#if defined(__linux__)
-  unsigned cores = std::thread::hardware_concurrency();
-  if (cores == 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(index % cores), &set);
-  if (::pthread_setaffinity_np(pthread_self(), sizeof(set), &set) != 0) {
-    metrics().pinFailures.increment();
-  }
-#else
-  (void)index;
-  metrics().pinFailures.increment();
-#endif
-}
-
 }  // namespace
 
 struct ShardRuntime::Shard {
@@ -62,26 +45,19 @@ struct ShardRuntime::Shard {
   MpscRing<Task> ring;
   Doorbell doorbell;
   std::thread thread;
-  /// Loop-owned (never touched off-loop while running): the shard-local
-  /// FlowTable views of the switches homed here.
-  std::map<of::DatapathId, of::FlowTable> flowView;
   obs::Counter tasks;
   obs::Counter wakeups;
 
-  Shard(std::size_t idx, std::size_t ringCapacity)
+  explicit Shard(std::size_t idx)
       : index(idx),
-        ring(ringCapacity),
+        ring(kRingCapacity),
         tasks(obs::Registry::global().counter(
             obs::shardMetricName("tasks", idx))),
         wakeups(obs::Registry::global().counter(
             obs::shardMetricName("wakeups", idx))) {}
 };
 
-ShardRuntime::ShardRuntime(ShardOptions options)
-    : options_(options), router_(options.shards) {
-  options_.shards = router_.shards();
-  if (options_.ringCapacity < 2) options_.ringCapacity = 2;
-}
+ShardRuntime::ShardRuntime(ShardOptions options) : router_(options.shards) {}
 
 ShardRuntime::~ShardRuntime() { stop(); }
 
@@ -89,9 +65,9 @@ void ShardRuntime::start() {
   if (running_.load(std::memory_order_acquire)) return;
   stopping_.store(false, std::memory_order_release);
   shards_.clear();
-  shards_.reserve(options_.shards);
-  for (std::size_t i = 0; i < options_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(i, options_.ringCapacity));
+  shards_.reserve(router_.shards());
+  for (std::size_t i = 0; i < router_.shards(); ++i) {
+    shards_.push_back(std::make_unique<Shard>(i));
   }
   if (iso::VirtualExecutor* executor = iso::virtualExecutor()) {
     // Model-checking mode: no loop threads. Each shard's queue lives in the
@@ -150,7 +126,6 @@ void ShardRuntime::stop() {
 void ShardRuntime::runLoop(Shard& shard) {
   t_loopRuntime = this;
   t_loopShard = shard.index;
-  if (options_.pinThreads) pinToCore(shard.index);
   for (;;) {
     Task task;
     bool ran = false;
@@ -166,7 +141,7 @@ void ShardRuntime::runLoop(Shard& shard) {
       }
       break;
     }
-    if (!ran && shard.doorbell.wait(options_.idleWait)) {
+    if (!ran && shard.doorbell.wait(kIdleWait)) {
       shard.wakeups.increment();
     }
   }
@@ -174,15 +149,17 @@ void ShardRuntime::runLoop(Shard& shard) {
 }
 
 void ShardRuntime::runTask(Shard& shard, Task& task) {
+  // Counted before running: a call() payload wakes its caller from inside
+  // task(), and the caller's stats() must already include that task.
+  tasks_.fetch_add(1, std::memory_order_relaxed);
+  shard.tasks.increment();
   try {
     task();
   } catch (...) {
-    // Posted tasks are contained like any dispatch fault; call() payloads
-    // carry their exception back to the caller themselves.
+    // Contained like any dispatch fault; call() payloads catch and carry
+    // their exception back to the caller before it gets here.
     metrics().taskFaults.increment();
   }
-  tasks_.fetch_add(1, std::memory_order_relaxed);
-  shard.tasks.increment();
 }
 
 bool ShardRuntime::enqueue(std::size_t shard, Task task) {
@@ -282,32 +259,6 @@ void ShardRuntime::call(std::size_t shard, const Task& task) {
   if (state->error) std::rethrow_exception(state->error);
 }
 
-void ShardRuntime::post(std::size_t shard, Task task) {
-  posts_.fetch_add(1, std::memory_order_relaxed);
-  metrics().posts.increment();
-  if (!running_.load(std::memory_order_acquire)) {
-    inlineRuns_.fetch_add(1, std::memory_order_relaxed);
-    metrics().inlineRuns.increment();
-    task();
-    return;
-  }
-  if (virtualized_) {
-    iso::VirtualExecutor* executor = iso::virtualExecutor();
-    if (!executor || !executor->enqueue(shards_[shard].get(),
-                                        std::move(task))) {
-      return;  // Sealed queue (teardown): drop, like a discarded real queue.
-    }
-    return;
-  }
-  if (t_loopRuntime == this && t_loopShard == shard) {
-    task();  // Our own loop: run now instead of self-enqueueing.
-    return;
-  }
-  if (!enqueue(shard, std::move(task))) {
-    // Stopping: the mirror (the only post consumer) is being torn down.
-  }
-}
-
 bool ShardRuntime::fence(const std::function<void(std::size_t)>& perShard) {
   if (!running_.load(std::memory_order_acquire)) {
     if (perShard) {
@@ -356,66 +307,10 @@ void ShardRuntime::detachEngine(engine::PermissionEngine& engine) {
   engine.setPublishFence({});
 }
 
-void ShardRuntime::noteSwitchAttached(of::DatapathId dpid) {
-  if (!running_.load(std::memory_order_acquire)) return;
-  std::size_t home = router_.shardOf(dpid);
-  post(home, [this, home, dpid] {
-    shards_[home]->flowView.try_emplace(dpid);
-  });
-}
-
-void ShardRuntime::noteFlowMods(of::DatapathId dpid,
-                                const std::vector<of::FlowMod>& mods) {
-  if (!running_.load(std::memory_order_acquire)) return;
-  std::size_t home = router_.shardOf(dpid);
-  post(home, [this, home, dpid, mods] {
-    shards_[home]->flowView[dpid].applyBatch(mods);
-  });
-}
-
-void ShardRuntime::dropSwitchState(of::DatapathId dpid) {
-  if (!running_.load(std::memory_order_acquire)) return;
-  std::size_t home = router_.shardOf(dpid);
-  post(home, [this, home, dpid] { shards_[home]->flowView.erase(dpid); });
-}
-
-std::size_t ShardRuntime::mirroredSwitchCount() {
-  if (shards_.empty()) return 0;
-  std::size_t total = 0;
-  // Sequential fence: the per-shard tasks run one at a time with the caller
-  // joining each, so the plain accumulator is safe.
-  fence([this, &total](std::size_t i) { total += shards_[i]->flowView.size(); });
-  return total;
-}
-
-std::size_t ShardRuntime::mirroredFlowCount() {
-  if (shards_.empty()) return 0;
-  std::size_t total = 0;
-  fence([this, &total](std::size_t i) {
-    for (const auto& [dpid, table] : shards_[i]->flowView) {
-      total += table.size();
-    }
-  });
-  return total;
-}
-
-std::vector<of::FlowEntry> ShardRuntime::mirroredFlows(of::DatapathId dpid) {
-  std::vector<of::FlowEntry> out;
-  if (shards_.empty()) return out;
-  call(router_.shardOf(dpid), [this, dpid, &out] {
-    auto& view = shards_[router_.shardOf(dpid)]->flowView;
-    if (auto it = view.find(dpid); it != view.end()) {
-      out = it->second.entries();
-    }
-  });
-  return out;
-}
-
 ShardStats ShardRuntime::stats() const {
   ShardStats out;
   out.tasks = tasks_.load(std::memory_order_relaxed);
   out.calls = calls_.load(std::memory_order_relaxed);
-  out.posts = posts_.load(std::memory_order_relaxed);
   out.inlineRuns = inlineRuns_.load(std::memory_order_relaxed);
   out.fences = fences_.load(std::memory_order_relaxed);
   return out;

@@ -1,8 +1,7 @@
-// The sharded controller substrate (DESIGN.md §16, ROADMAP item 1): N
-// per-core event loops, each owning a lock-free MPSC ring + doorbell, a
-// shard-local FlowTable view and (via thread-locality) its own
-// permission-memo domain. A deterministic Router maps dpid -> shard and
-// app -> shard; cross-shard traffic exists only for topology-wide
+// The sharded controller substrate (DESIGN.md §16): N per-core event
+// loops, each owning a lock-free MPSC ring + doorbell and (via
+// thread-locality) its own permission-memo domain. A deterministic Router
+// maps dpid -> shard; cross-shard traffic exists only for topology-wide
 // operations — policy epoch publishes (the engine publish fence), app
 // quarantine and statsReport merges — which run as a fence: one task per
 // shard, caller waits for all.
@@ -18,10 +17,8 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -29,7 +26,6 @@
 
 #include "controller/controller.h"
 #include "obs/metrics.h"
-#include "of/flow_table.h"
 #include "shard/ring.h"
 #include "shard/router.h"
 
@@ -43,15 +39,6 @@ struct ShardOptions {
   /// Event-loop count. 1 (the default) is the compatibility mode: a single
   /// loop owning everything.
   std::size_t shards = 1;
-  /// Per-shard ring capacity (rounded up to a power of two). A full ring
-  /// back-pressures producers with a spin-yield, never a lock.
-  std::size_t ringCapacity = 4096;
-  /// Best-effort CPU pinning (pthread_setaffinity_np): shard i is pinned to
-  /// core i % hardware_concurrency. Failure (no permission, exotic libc) is
-  /// recorded in a counter and otherwise ignored.
-  bool pinThreads = false;
-  /// Idle doorbell wait; bounds shutdown latency, not correctness.
-  std::chrono::milliseconds idleWait{50};
 };
 
 /// Aggregate runtime counters (merged across shards; see also the
@@ -59,7 +46,6 @@ struct ShardOptions {
 struct ShardStats {
   std::uint64_t tasks = 0;      ///< Tasks executed on shard loops.
   std::uint64_t calls = 0;      ///< Synchronous runOnShard/call round-trips.
-  std::uint64_t posts = 0;      ///< Fire-and-forget posts.
   std::uint64_t inlineRuns = 0; ///< Tasks run on the caller (not running /
                                 ///< same shard / cross-shard-from-loop).
   std::uint64_t fences = 0;     ///< Completed fence barriers.
@@ -82,8 +68,6 @@ class ShardRuntime final : public ctrl::ShardDispatch {
   void stop();
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  const Router& router() const { return router_; }
-
   // --- ctrl::ShardDispatch --------------------------------------------------
   std::size_t shardCount() const override { return router_.shards(); }
   std::size_t shardOf(of::DatapathId dpid) const override {
@@ -91,10 +75,6 @@ class ShardRuntime final : public ctrl::ShardDispatch {
   }
   void runOnShard(std::size_t shard, const std::function<void()>& fn) override;
   bool fenceShards() override { return fence({}); }
-  void noteSwitchAttached(of::DatapathId dpid) override;
-  void noteFlowMods(of::DatapathId dpid,
-                    const std::vector<of::FlowMod>& mods) override;
-  void dropSwitchState(of::DatapathId dpid) override;
 
   // --- task submission ------------------------------------------------------
   /// Runs @p task to completion on @p shard and waits. Inline when the
@@ -102,8 +82,6 @@ class ShardRuntime final : public ctrl::ShardDispatch {
   /// it on the caller avoids loop-to-loop blocking cycles). Task exceptions
   /// propagate to the caller.
   void call(std::size_t shard, const Task& task);
-  /// Fire-and-forget enqueue onto @p shard (inline when not running).
-  void post(std::size_t shard, Task task);
   /// Barrier: runs @p perShard (may be empty) on every shard loop in index
   /// order, waiting for each — the cross-shard mailbox. Refused (returns
   /// false, runs nothing) from a shard loop, where blocking on siblings
@@ -126,13 +104,6 @@ class ShardRuntime final : public ctrl::ShardDispatch {
   void attachEngine(engine::PermissionEngine& engine);
   void detachEngine(engine::PermissionEngine& engine);
 
-  // --- shard-local FlowTable views ------------------------------------------
-  /// Mirror introspection; each fences or hops to the owning loop, so these
-  /// are consistent (and not for hot paths).
-  std::size_t mirroredSwitchCount();
-  std::size_t mirroredFlowCount();
-  std::vector<of::FlowEntry> mirroredFlows(of::DatapathId dpid);
-
   ShardStats stats() const;
 
  private:
@@ -144,7 +115,6 @@ class ShardRuntime final : public ctrl::ShardDispatch {
   void runLoop(Shard& shard);
   void runTask(Shard& shard, Task& task);
 
-  ShardOptions options_;
   Router router_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> running_{false};
@@ -156,7 +126,6 @@ class ShardRuntime final : public ctrl::ShardDispatch {
 
   std::atomic<std::uint64_t> tasks_{0};
   std::atomic<std::uint64_t> calls_{0};
-  std::atomic<std::uint64_t> posts_{0};
   std::atomic<std::uint64_t> inlineRuns_{0};
   std::atomic<std::uint64_t> fences_{0};
 };

@@ -76,11 +76,7 @@ void SimSwitch::advanceTime(std::uint32_t seconds) {
 }
 
 void SimSwitch::punt(const of::PacketIn& packetIn) {
-  if (packetInSink_) {
-    packetInSink_(packetIn);
-  } else if (controller_ != nullptr) {
-    controller_->onPacketIn(packetIn);
-  }
+  if (controller_ != nullptr) controller_->onPacketIn(packetIn);
 }
 
 void SimSwitch::expireFlows(const of::FlowMatch& match) {

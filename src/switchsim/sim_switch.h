@@ -32,11 +32,6 @@ class SimSwitch final : public ctrl::SwitchConn {
   // --- wiring ---------------------------------------------------------------
   void setController(ctrl::Controller* controller) { controller_ = controller; }
 
-  /// Overrides where punted packet-ins go (instead of the controller) —
-  /// used by adapters that frame the control channel (e.g. WireSwitchConn).
-  using PacketInSink = std::function<void(const of::PacketIn&)>;
-  void setPacketInSink(PacketInSink sink) { packetInSink_ = std::move(sink); }
-
   /// Emulates the switch<->controller control-channel latency of a real
   /// testbed (the paper measures over a physical network where this is the
   /// dominant term). Modelled as pipelined propagation delay: control
@@ -96,7 +91,6 @@ class SimSwitch final : public ctrl::SwitchConn {
 
   of::DatapathId dpid_;
   ctrl::Controller* controller_ = nullptr;
-  PacketInSink packetInSink_;
   mutable std::mutex mutex_;  // Guards table and counters, never delivery.
   of::FlowTable table_;
   std::map<of::PortNo, PacketSink> ports_;

@@ -4,7 +4,7 @@
 //    back-pressure, multi-producer stress, deterministic routing);
 //  * runtime semantics — call() runs on the owning loop and propagates
 //    exceptions, fence() barriers every loop and refuses from a loop;
-//  * the shard-local FlowTable mirrors track kernel flow operations;
+//  * a sharded controller counts each accepted flow install exactly once;
 //  * the engine publish fence barriers every shard on installAll;
 //  * the ISSUE acceptance differentials — shards=1 is byte-identical to
 //    the pre-shard inline pipeline, and per-switch flow-mod streams are
@@ -25,10 +25,12 @@
 #include "core/engine/permission_engine.h"
 #include "core/lang/perm_parser.h"
 #include "isolation/api_proxy.h"
+#include "obs/metrics.h"
 #include "of/wire.h"
 #include "shard/ring.h"
 #include "shard/router.h"
 #include "shard/shard_runtime.h"
+#include "switchsim/sim_network.h"
 
 namespace sdnshield {
 namespace {
@@ -122,7 +124,6 @@ TEST(ShardRouter, IsDeterministicCoversAllShardsAndMapsEverythingToShard0) {
   shard::Router router1(1);
   for (of::DatapathId dpid = 1; dpid <= 64; ++dpid) {
     EXPECT_EQ(router1.shardOf(dpid), 0u);
-    EXPECT_EQ(router1.shardOfApp(dpid), 0u);
   }
   // A fresh instance maps identically (process-stable constants).
   shard::Router again(4);
@@ -187,97 +188,40 @@ TEST(ShardRuntime, FenceBarriersEveryLoopAndRefusesFromALoop) {
   bool refused = true;
   runtime.call(0, [&] { refused = !runtime.fence({}); });
   EXPECT_TRUE(refused) << "a loop fencing its siblings could deadlock";
-
-  // Fence observes everything posted before it (the mailbox contract).
-  std::atomic<int> posted{0};
-  for (std::size_t s = 0; s < 4; ++s) {
-    runtime.post(s, [&] { posted.fetch_add(1); });
-  }
-  EXPECT_TRUE(runtime.fence({}));
-  EXPECT_EQ(posted.load(), 4);
   runtime.stop();
 }
 
-// --- FlowTable mirrors ------------------------------------------------------
+// --- flow accounting --------------------------------------------------------
 
-/// Minimal southbound peer backed by a real FlowTable, so mirror contents
-/// can be differenced against the switch's actual table.
-class TableConn final : public ctrl::SwitchConn {
- public:
-  ctrl::ApiResult applyFlowMod(const of::FlowMod& mod) override {
-    std::lock_guard lock(mutex_);
-    if (!table_.apply(mod)) {
-      return ctrl::ApiResult::failure(ctrl::ApiErrc::kTableFull,
-                                      "table full");
-    }
-    return ctrl::ApiResult::success();
-  }
-  ctrl::ApiResult transmitPacket(const of::PacketOut&) override {
-    return ctrl::ApiResult::success();
-  }
-  ctrl::ApiResponse<std::vector<of::FlowEntry>> dumpFlows() const override {
-    std::lock_guard lock(mutex_);
-    return ctrl::ApiResponse<std::vector<of::FlowEntry>>::success(
-        table_.entries());
-  }
-  ctrl::ApiResponse<of::StatsReply> queryStats(
-      const of::StatsRequest&) const override {
-    return ctrl::ApiResponse<of::StatsReply>::success({});
-  }
-  std::size_t size() const {
-    std::lock_guard lock(mutex_);
-    return table_.size();
-  }
-
- private:
-  mutable std::mutex mutex_;
-  of::FlowTable table_;
-};
-
-of::FlowMod addMod(std::uint8_t lastOctet, std::uint16_t priority) {
-  of::FlowMod mod;
-  mod.match.ipDst =
-      of::MaskedIpv4{of::Ipv4Address(10, 0, 0, lastOctet)};
-  mod.priority = priority;
-  return mod;
-}
-
-TEST(ShardRuntime, FlowTableMirrorsTrackKernelFlowOps) {
+TEST(ShardRuntime, FlowInstallsAreCountedOncePerAcceptedAdd) {
+  // The switch's own table is the only flow state: a sharded controller
+  // must not keep a second copy that counts every install again.
   shard::ShardOptions options;
   options.shards = 2;
   shard::ShardRuntime runtime(options);
   runtime.start();
   ctrl::Controller controller;
   runtime.attach(controller);
-
+  sim::SimNetwork network(controller);
   constexpr of::DatapathId kSwitches = 6;
-  std::vector<std::shared_ptr<TableConn>> conns;
+  constexpr std::uint8_t kAddsPerSwitch = 3;
   for (of::DatapathId dpid = 1; dpid <= kSwitches; ++dpid) {
-    auto conn = std::make_shared<TableConn>();
-    ASSERT_TRUE(static_cast<bool>(controller.attachSwitch(
-        conn, ctrl::ConnectionInfo{dpid, "sim", "in-process", 0})));
-    conns.push_back(conn);
-  }
-  EXPECT_EQ(runtime.mirroredSwitchCount(), kSwitches);
-
-  for (of::DatapathId dpid = 1; dpid <= kSwitches; ++dpid) {
-    ASSERT_TRUE(static_cast<bool>(controller.kernelInsertFlow(
-        7, dpid, addMod(static_cast<std::uint8_t>(dpid), 10))));
-    std::vector<of::FlowMod> batch{addMod(100, 20), addMod(101, 30)};
-    ASSERT_TRUE(
-        static_cast<bool>(controller.kernelInsertFlows(7, dpid, batch)));
-  }
-  EXPECT_EQ(runtime.mirroredFlowCount(), kSwitches * 3);
-  for (of::DatapathId dpid = 1; dpid <= kSwitches; ++dpid) {
-    EXPECT_EQ(runtime.mirroredFlows(dpid).size(), conns[dpid - 1]->size());
+    network.addSwitch(dpid);
   }
 
-  ASSERT_TRUE(static_cast<bool>(controller.kernelDeleteFlow(
-      7, 1, addMod(100, 20).match, /*strict=*/true, 20)));
-  EXPECT_EQ(runtime.mirroredFlows(1).size(), conns[0]->size());
-
-  controller.detachSwitch(2);
-  EXPECT_EQ(runtime.mirroredSwitchCount(), kSwitches - 1);
+  obs::Counter installs =
+      obs::Registry::global().counter("flowtable.installs");
+  std::uint64_t before = installs.value();
+  for (of::DatapathId dpid = 1; dpid <= kSwitches; ++dpid) {
+    for (std::uint8_t i = 0; i < kAddsPerSwitch; ++i) {
+      of::FlowMod mod;
+      mod.match.ipDst = of::MaskedIpv4{of::Ipv4Address(10, 0, 0, i)};
+      mod.priority = static_cast<std::uint16_t>(10 + i);
+      ASSERT_TRUE(controller.kernelInsertFlow(7, dpid, mod).ok());
+    }
+  }
+  EXPECT_TRUE(runtime.fence({}));  // Any shard-side work has landed.
+  EXPECT_EQ(installs.value() - before, kSwitches * kAddsPerSwitch);
 
   runtime.detach(controller);
   runtime.stop();

@@ -2,7 +2,9 @@
 // driven over TCP loopback against net::OfServer and driven in-process
 // through Controller::onPacketIn must produce byte-identical flow-mod
 // frames and identical decision/audit totals — and the wire frontend must
-// sustain >= 1,024 concurrent switch connections doing it.
+// sustain >= 1,024 concurrent switch connections doing it. Kernel flow-mods
+// sent over a TcpSwitchConn keep their issuer cookie, and a rule the codec
+// cannot express fails as a typed kFramingError before any byte is written.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/resource.h>
@@ -23,6 +25,7 @@
 #include "isolation/api_proxy.h"
 #include "net/cbench_client.h"
 #include "net/of_server.h"
+#include "net/reactor.h"
 #include "of/wire.h"
 
 namespace sdnshield {
@@ -332,6 +335,77 @@ TEST(WireSimDifferential, MalformedPeerDoesNotDisturbNeighbours) {
   EXPECT_EQ(result.roundsCompleted, 16u);
   // The garbage connection was counted, rejected, and torn down alone.
   EXPECT_GE(wireStack.server.framingErrors(), 1u);
+}
+
+/// A controller with one switch attached over a TcpSwitchConn on one end of
+/// a socketpair; the test reads what the controller wrote from the other.
+struct SocketpairSwitch {
+  net::Reactor reactor;  // Never started: sends go straight to the socket.
+  ctrl::Controller controller;
+  int peer = -1;
+
+  SocketpairSwitch() {
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, fds) != 0) {
+      return;
+    }
+    peer = fds[1];
+    auto conn = std::make_shared<net::TcpSwitchConn>(reactor, fds[0],
+                                                     "socketpair", 1u << 20);
+    controller.attachSwitch(conn,
+                            ctrl::ConnectionInfo{1, "tcp", "socketpair", 0x01});
+  }
+  ~SocketpairSwitch() {
+    if (peer >= 0) ::close(peer);
+  }
+
+  /// Everything the controller has written so far (non-blocking read).
+  of::Bytes drain() const {
+    of::Bytes out;
+    std::uint8_t buffer[4096];
+    ssize_t n = 0;
+    while ((n = ::recv(peer, buffer, sizeof(buffer), 0)) > 0) {
+      out.insert(out.end(), buffer, buffer + n);
+    }
+    return out;
+  }
+};
+
+TEST(WireSimDifferential, InstalledRuleSurvivesTheFlowModRoundTrip) {
+  SocketpairSwitch sw;
+  ASSERT_GE(sw.peer, 0);
+  of::FlowMod mod;
+  mod.match.ethType = 0x0800;
+  mod.match.ipDst = of::MaskedIpv4{of::Ipv4Address(10, 0, 0, 2),
+                                   of::Ipv4Address::prefixMask(24)};
+  mod.priority = 33;
+  mod.idleTimeout = 60;
+  mod.actions.push_back(of::OutputAction{2});
+  ASSERT_TRUE(sw.controller.kernelInsertFlow(7, 1, mod).ok());
+
+  of::Bytes frame = sw.drain();
+  auto decoded = std::get<of::FlowMod>(wire::decode(frame));
+  EXPECT_EQ(decoded.match, mod.match);
+  EXPECT_EQ(decoded.priority, 33);
+  EXPECT_EQ(decoded.idleTimeout, 60u);
+  EXPECT_EQ(decoded.cookie, 7u);  // The issuer stamp survives framing.
+}
+
+TEST(WireSimDifferential, NonPrefixMaskRuleIsRejectedAtTheWire) {
+  SocketpairSwitch sw;
+  ASSERT_GE(sw.peer, 0);
+  of::FlowMod mod;
+  mod.match.ipDst = of::MaskedIpv4{of::Ipv4Address(10, 0, 0, 0),
+                                   of::Ipv4Address::parse("255.0.255.0")};
+  mod.actions.push_back(of::OutputAction{2});
+  // OF 1.0 cannot express the mask: the rejection surfaces as a typed
+  // kFramingError rather than silently widening the rule, and never as an
+  // exception.
+  ctrl::ApiResult result = sw.controller.kernelInsertFlow(7, 1, mod);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.code(), ctrl::ApiErrc::kFramingError);
+  EXPECT_TRUE(sw.drain().empty()) << "no frame may reach the switch";
+  EXPECT_EQ(sw.controller.ownership().totalTracked(), 0u);
 }
 
 }  // namespace
