@@ -1,12 +1,15 @@
 // Flow ownership tracking (paper §IV, ownership filter): records which app
 // issued each installed flow, so OWN_FLOWS filters can be evaluated and the
 // per-app rule count (table-size filter) maintained.
+//
+// Records are indexed per switch by exact rule key, with per-app counts, so
+// the checks made before every insert cost hash lookups (DESIGN.md §7).
 #pragma once
 
 #include <cstddef>
 #include <mutex>
 #include <optional>
-#include <vector>
+#include <unordered_map>
 
 #include "of/flow_mod.h"
 
@@ -46,15 +49,32 @@ class OwnershipTracker {
   void clear();
 
  private:
-  struct Record {
-    of::DatapathId dpid = 0;
+  struct RuleKey {
     of::FlowMatch match;
     std::uint16_t priority = 0;
-    of::AppId owner = 0;
+    friend bool operator==(const RuleKey&, const RuleKey&) = default;
+  };
+  /// Agrees with FlowMatch::operator==: masked IPv4 fields hash only the
+  /// value bits under their mask.
+  struct RuleKeyHash {
+    std::size_t operator()(const RuleKey& key) const;
+  };
+  struct SwitchRules {
+    std::unordered_map<RuleKey, of::AppId, RuleKeyHash> owners;
+    std::unordered_map<of::AppId, std::size_t> counts;  ///< Never holds 0.
+
+    /// True when some rule on this switch is owned by an app other than
+    /// @p app; when false, no foreign-rule scan is needed.
+    bool hasForeign(of::AppId app) const;
   };
 
+  /// Drops one rule of @p owner from @p rules' per-app count.
+  void uncount(SwitchRules& rules, of::AppId owner);
+  const SwitchRules* find(of::DatapathId dpid) const;
+
   mutable std::mutex mutex_;
-  std::vector<Record> records_;
+  std::unordered_map<of::DatapathId, SwitchRules> switches_;
+  std::size_t total_ = 0;
 };
 
 }  // namespace sdnshield::engine

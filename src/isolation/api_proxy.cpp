@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
 
 #include "core/engine/transaction.h"
 #include "core/lang/perm_parser.h"
@@ -14,27 +13,26 @@ namespace sdnshield::iso {
 
 // --- RecentPacketIns ----------------------------------------------------------
 
-std::size_t RecentPacketIns::hashOf(const of::Packet& packet) {
+std::string RecentPacketIns::bytesOf(const of::Packet& packet) {
   of::Bytes wire = packet.serialize();
-  return std::hash<std::string_view>{}(std::string_view(
-      reinterpret_cast<const char*>(wire.data()), wire.size()));
+  return std::string(wire.begin(), wire.end());
 }
 
 void RecentPacketIns::remember(const of::Packet& packet) {
-  std::size_t hash = hashOf(packet);
+  std::string bytes = bytesOf(packet);
   std::lock_guard lock(mutex_);
-  order_.push_back(hash);
-  hashes_.insert(hash);
+  packets_.insert(bytes);
+  order_.push_back(std::move(bytes));
   if (order_.size() > capacity_) {
-    hashes_.erase(hashes_.find(order_.front()));
+    packets_.erase(packets_.find(order_.front()));
     order_.pop_front();
   }
 }
 
 bool RecentPacketIns::seen(const of::Packet& packet) const {
-  std::size_t hash = hashOf(packet);
+  std::string bytes = bytesOf(packet);
   std::lock_guard lock(mutex_);
-  return hashes_.contains(hash);
+  return packets_.contains(bytes);
 }
 
 // --- ShieldedApi ----------------------------------------------------------------

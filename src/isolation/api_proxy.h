@@ -38,7 +38,9 @@ namespace sdnshield::iso {
 inline constexpr of::DatapathId kVirtualDpid = 0xbf00000000000001ULL;
 
 /// Bounded memory of packets recently delivered to an app as packet-ins;
-/// backs the FROM_PKT_IN provenance check on packet-outs.
+/// backs the FROM_PKT_IN provenance check on packet-outs. Packets are kept
+/// as serialized bytes, so only a byte-identical packet passes: a forged
+/// packet cannot get through by colliding with a remembered one's hash.
 class RecentPacketIns {
  public:
   explicit RecentPacketIns(std::size_t capacity = 1024)
@@ -48,12 +50,12 @@ class RecentPacketIns {
   bool seen(const of::Packet& packet) const;
 
  private:
-  static std::size_t hashOf(const of::Packet& packet);
+  static std::string bytesOf(const of::Packet& packet);
 
   mutable std::mutex mutex_;
   std::size_t capacity_;
-  std::deque<std::size_t> order_;
-  std::unordered_multiset<std::size_t> hashes_;
+  std::deque<std::string> order_;
+  std::unordered_multiset<std::string> packets_;
 };
 
 class ShieldRuntime;

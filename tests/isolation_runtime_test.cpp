@@ -562,5 +562,18 @@ TEST(RecentPacketIns, RemembersBoundedWindow) {
   EXPECT_TRUE(recent.seen(c));
 }
 
+TEST(RecentPacketIns, RequiresByteEqualityNotJustAHashMatch) {
+  RecentPacketIns recent;
+  of::Packet original = of::Packet::makeTcp(
+      of::MacAddress::fromUint64(1), of::MacAddress::fromUint64(2),
+      of::Ipv4Address(10, 0, 0, 1), of::Ipv4Address(10, 0, 0, 2), 4000, 80,
+      0x02, of::Bytes{'G', 'E', 'T', ' ', '/'});
+  of::Packet forged = original;
+  forged.payload[4] = '?';  // One payload byte differs.
+  recent.remember(original);
+  EXPECT_FALSE(recent.seen(forged));
+  EXPECT_TRUE(recent.seen(original));
+}
+
 }  // namespace
 }  // namespace sdnshield::iso
