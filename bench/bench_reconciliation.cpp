@@ -130,16 +130,22 @@ void runLiveUpdate(int apps, bool cached) {
   const auto compilesBefore = programCache.stats().misses;
 
   // Readers hammer check() across all apps for the whole run; each sample
-  // is one check's wall time.
+  // is one check's wall time. Two gates keep the reader columns meaningful
+  // even when the pushes are fast: pushes start only once every reader has
+  // completed a check (so the swaps really race the readers), and each
+  // reader keeps sampling until it holds kMinSamples checks.
   constexpr int kReaders = 4;
+  constexpr std::size_t kMinSamples = 1000;
   std::atomic<bool> stop{false};
+  std::atomic<int> readersStarted{0};
   std::vector<std::vector<std::int64_t>> samples(kReaders);
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
       std::uint64_t n = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
+      while (!stop.load(std::memory_order_relaxed) ||
+             samples[r].size() < kMinSamples) {
         of::AppId app = static_cast<of::AppId>(1 + (n++ % apps));
         perm::ApiCall call;
         call.type = perm::ApiCallType::kReadStatistics;
@@ -151,9 +157,11 @@ void runLiveUpdate(int apps, bool cached) {
             std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                                  start)
                 .count());
+        if (samples[r].size() == 1) readersStarted.fetch_add(1);
       }
     });
   }
+  while (readersStarted.load() < kReaders) std::this_thread::yield();
 
   // Alternating live policy updates, each published with ONE installAll
   // (one epoch bump). Cold path: every app is re-reconciled and recompiled

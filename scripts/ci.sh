@@ -80,6 +80,14 @@ if grep -rn --include='*.cpp' --include='*.h' -E \
   echo "lint: matching on API error text; compare ApiErrc codes instead" >&2
   exit 1
 fi
+# One flow-mod permission context: the OWN_FLOWS and rule-count attributes
+# of every mediated flow-mod come from engine::flowModCall, so no src/ file
+# outside src/core/engine queries the ownership tracker for them itself.
+if grep -rn --include='*.cpp' --include='*.h' -E \
+    '(ownsAllMatching|overridesForeignFlow)\(' src | grep -v '^src/core/engine/'; then
+  echo "lint: flow-mod ownership context built outside engine::flowModCall" >&2
+  exit 1
+fi
 
 echo "=== [1/8] Release build + full test suite ==="
 run_suite build

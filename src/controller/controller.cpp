@@ -316,8 +316,7 @@ ApiResult Controller::kernelInsertFlow(of::AppId issuer, of::DatapathId dpid,
     }
     return applied;
   }
-  bool modify = mod.command == of::FlowModCommand::kModify ||
-                mod.command == of::FlowModCommand::kModifyStrict;
+  bool modify = mod.isModify();
   if (!modify) ownership_.recordInsert(issuer, dpid, mod.match, mod.priority);
   Event event{FlowEvent{dpid,
                         modify ? FlowChange::kModified : FlowChange::kInstalled,
@@ -329,13 +328,13 @@ ApiResult Controller::kernelInsertFlow(of::AppId issuer, of::DatapathId dpid,
 }
 
 ApiResult Controller::kernelInsertFlows(of::AppId issuer, of::DatapathId dpid,
-                                        const std::vector<of::FlowMod>& mods) {
+                                        std::span<const of::FlowMod> mods) {
   if (mods.empty()) return ApiResult::success();
   std::shared_ptr<SwitchConn> conn = switchConn(dpid);
   if (!conn) {
     return ApiResult::failure(ApiErrc::kInvalidArgument, "unknown switch");
   }
-  std::vector<of::FlowMod> stamped = mods;
+  std::vector<of::FlowMod> stamped(mods.begin(), mods.end());
   for (of::FlowMod& mod : stamped) mod.cookie = issuer;
   std::vector<ApiResult> applied = conn->applyFlowMods(stamped);
   std::vector<Subscriber> subscribers = snapshot(flowSubscribers_);
@@ -350,8 +349,7 @@ ApiResult Controller::kernelInsertFlows(of::AppId issuer, of::DatapathId dpid,
       continue;
     }
     const of::FlowMod& mod = mods[i];
-    bool modify = mod.command == of::FlowModCommand::kModify ||
-                  mod.command == of::FlowModCommand::kModifyStrict;
+    bool modify = mod.isModify();
     if (!modify) ownership_.recordInsert(issuer, dpid, mod.match, mod.priority);
     Event event{FlowEvent{
         dpid, modify ? FlowChange::kModified : FlowChange::kInstalled,

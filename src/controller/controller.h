@@ -138,7 +138,7 @@ class Controller {
   /// fails independently; returns the first failure (or success). Equivalent
   /// to calling kernelInsertFlow per mod in order.
   ApiResult kernelInsertFlows(of::AppId issuer, of::DatapathId dpid,
-                              const std::vector<of::FlowMod>& mods);
+                              std::span<const of::FlowMod> mods);
   ApiResult kernelDeleteFlow(of::AppId issuer, of::DatapathId dpid,
                              const of::FlowMatch& match, bool strict,
                              std::uint16_t priority);

@@ -163,4 +163,23 @@ void OwnershipTracker::clear() {
   total_ = 0;
 }
 
+perm::ApiCall flowModCall(const OwnershipTracker& ownership, of::AppId app,
+                          of::DatapathId dpid, const of::FlowMod& mod,
+                          std::size_t pendingAdds) {
+  if (mod.isDelete()) {
+    perm::ApiCall call = perm::ApiCall::deleteFlow(
+        app, dpid, mod.match, ownership.ownsAllMatching(app, dpid, mod.match));
+    call.priority = mod.priority;
+    return call;
+  }
+  perm::ApiCall call = perm::ApiCall::insertFlow(app, dpid, mod);
+  call.ownFlow =
+      mod.isModify()
+          ? ownership.ownsAllMatching(app, dpid, mod.match)
+          : !ownership.overridesForeignFlow(app, dpid, mod.match, mod.priority);
+  call.ruleCountAfter =
+      ownership.countFor(app, dpid) + pendingAdds + (mod.addsRule() ? 1 : 0);
+  return call;
+}
+
 }  // namespace sdnshield::engine

@@ -11,6 +11,7 @@
 #include <optional>
 #include <unordered_map>
 
+#include "core/perm/api_call.h"
 #include "of/flow_mod.h"
 
 namespace sdnshield::engine {
@@ -76,5 +77,14 @@ class OwnershipTracker {
   std::unordered_map<of::DatapathId, SwitchRules> switches_;
   std::size_t total_ = 0;
 };
+
+/// The permission context (ApiCall) of a flow-mod @p app issues on @p dpid;
+/// every mediated flow-mod takes it from here. A modify or delete holds
+/// OWN_FLOWS when the caller owns every rule its match covers, an add when
+/// it overrides no foreign rule. ruleCountAfter counts the caller's rules,
+/// the @p pendingAdds admitted but not yet applied, and this mod if it adds.
+perm::ApiCall flowModCall(const OwnershipTracker& ownership, of::AppId app,
+                          of::DatapathId dpid, const of::FlowMod& mod,
+                          std::size_t pendingAdds = 0);
 
 }  // namespace sdnshield::engine

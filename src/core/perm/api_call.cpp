@@ -100,10 +100,8 @@ std::string ApiCall::toString() const {
 ApiCall ApiCall::insertFlow(of::AppId app, of::DatapathId dpid,
                             const of::FlowMod& mod) {
   ApiCall call;
-  call.type = (mod.command == of::FlowModCommand::kModify ||
-               mod.command == of::FlowModCommand::kModifyStrict)
-                  ? ApiCallType::kModifyFlow
-                  : ApiCallType::kInsertFlow;
+  call.type =
+      mod.isModify() ? ApiCallType::kModifyFlow : ApiCallType::kInsertFlow;
   call.app = app;
   call.dpid = dpid;
   call.match = mod.match;

@@ -17,10 +17,8 @@ InstallReport installPolicy(engine::PermissionEngine& engine,
     // respectively"). One blocked owner partially denies the rule.
     bool allowed = true;
     for (of::AppId owner : rule.owners) {
-      perm::ApiCall call = perm::ApiCall::insertFlow(owner, dpid, mods[i]);
-      call.ownFlow = !controller.ownership().overridesForeignFlow(
-          owner, dpid, mods[i].match, mods[i].priority);
-      call.ruleCountAfter = controller.ownership().countFor(owner, dpid) + 1;
+      perm::ApiCall call =
+          engine::flowModCall(controller.ownership(), owner, dpid, mods[i]);
       engine::Decision decision = engine.check(call);
       controller.audit().record(call, decision.allowed, decision.reason);
       if (!decision.allowed) {

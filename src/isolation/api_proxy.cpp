@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "core/engine/transaction.h"
 #include "core/lang/perm_parser.h"
@@ -39,20 +40,39 @@ bool RecentPacketIns::seen(const of::Packet& packet) const {
 
 namespace {
 
-/// Shared deny shape for ApiResult-returning calls.
-ctrl::ApiResult denied(const engine::Decision& decision) {
-  return ctrl::ApiResult::failure(ctrl::ApiErrc::kPermissionDenied,
-                                  decision.reason);
+/// Maps a deputy-channel failure (thrown by a submission or a wait) to a
+/// typed failed response instead of letting it escape into app code: a
+/// transport fault (kDeadlineExceeded / kQueueFull, audited here) stays
+/// distinguishable from a permission denial (audited by the mediation).
+/// PoolStopped is rethrown: calls after shutdown() keep throwing.
+template <typename R>
+R channelFailure(ShieldRuntime& runtime, of::AppId app,
+                 std::exception_ptr error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const PoolStopped&) {
+    throw;
+  } catch (const DeadlineExceeded& failure) {
+    runtime.controller().audit().recordFault(
+        app, std::string("api call: ") + failure.what());
+    return R::failure(ctrl::ApiErrc::kDeadlineExceeded, failure.what());
+  } catch (const QueueSaturated& failure) {
+    runtime.controller().audit().recordFault(
+        app, std::string("api call: ") + failure.what());
+    return R::failure(ctrl::ApiErrc::kQueueFull, failure.what());
+  } catch (const CallDropped& failure) {
+    return R::failure(ctrl::ApiErrc::kPoolStopped, failure.what());
+  } catch (const std::exception& failure) {
+    // Anything else (e.g. an injected fault at the ksd.call site) means the
+    // deputy path is unavailable for this call.
+    return R::failure(ctrl::ApiErrc::kPoolStopped,
+                      std::string("deputy unavailable: ") + failure.what());
+  }
 }
 
-/// Runs @p work on a deputy under the runtime's call deadline, converting
-/// channel failures (hung deputy, saturated queue, dropped call) into typed
-/// failed API responses instead of letting exceptions escape into app code —
-/// each transport failure gets its own ApiErrc, so audit consumers can tell
-/// a deputy-side permission denial (kPermissionDenied, recorded by the
-/// deputy body) from a transport failure (kDeadlineExceeded / kQueueFull /
-/// kPoolStopped, recorded here as faults). Calls from a quarantined app
-/// fail fast with kAppQuarantined without touching the channel.
+/// Runs @p work on a deputy under the runtime's call deadline. Calls from a
+/// quarantined app fail fast with kAppQuarantined without touching the
+/// channel.
 template <typename R>
 R viaDeputy(ShieldRuntime& runtime, of::AppId app, std::function<R()> work) {
   if (runtime.isQuarantined(app)) {
@@ -61,23 +81,8 @@ R viaDeputy(ShieldRuntime& runtime, of::AppId app, std::function<R()> work) {
   try {
     return runtime.ksd().call<R>(std::move(work),
                                  runtime.options().ksdCallTimeout);
-  } catch (const PoolStopped&) {
-    throw;  // Calls after shutdown() keep the historical throwing contract.
-  } catch (const DeadlineExceeded& error) {
-    runtime.controller().audit().recordFault(
-        app, std::string("api call: ") + error.what());
-    return R::failure(ctrl::ApiErrc::kDeadlineExceeded, error.what());
-  } catch (const QueueSaturated& error) {
-    runtime.controller().audit().recordFault(
-        app, std::string("api call: ") + error.what());
-    return R::failure(ctrl::ApiErrc::kQueueFull, error.what());
-  } catch (const CallDropped& error) {
-    return R::failure(ctrl::ApiErrc::kPoolStopped, error.what());
-  } catch (const std::exception& error) {
-    // Anything else escaping the channel (e.g. an injected fault at the
-    // ksd.call site) means the deputy path is unavailable for this call.
-    return R::failure(ctrl::ApiErrc::kPoolStopped,
-                      std::string("deputy unavailable: ") + error.what());
+  } catch (...) {
+    return channelFailure<R>(runtime, app, std::current_exception());
   }
 }
 
@@ -96,19 +101,13 @@ ctrl::ApiFuture<R> submitViaDeputy(ShieldRuntime& runtime, of::AppId app,
         R::failure(ctrl::ApiErrc::kAppQuarantined, "app is quarantined"));
   }
   std::shared_ptr<InFlightWindow> window = runtime.inFlightWindow(app);
-  bool acquired;
+  bool acquired = false;
   if (VirtualExecutor* executor = virtualExecutor()) {
     // Model-checking mode: a full window parks the submitter as a
     // scheduler step instead of a timed condvar wait.
-    acquired = window->tryAcquire();
-    if (!acquired) {
-      executor->await(
-          [&acquired, &window] {
-            if (!acquired) acquired = window->tryAcquire();
-            return acquired;
-          },
-          "ksd.window");
-    }
+    executor->await(
+        [&] { return acquired || (acquired = window->tryAcquire()); },
+        "ksd.window");
   } else {
     acquired = window->acquireFor(runtime.options().ksdCallTimeout);
   }
@@ -128,49 +127,15 @@ ctrl::ApiFuture<R> submitViaDeputy(ShieldRuntime& runtime, of::AppId app,
   try {
     future = std::make_shared<std::future<R>>(
         runtime.ksd().template submitFuture<R>(std::move(work), slot));
-  } catch (const PoolStopped&) {
-    throw;  // Same post-shutdown contract as the synchronous path.
-  } catch (const QueueSaturated& error) {
-    runtime.controller().audit().recordFault(
-        app, std::string("api call: ") + error.what());
+  } catch (...) {
     return ctrl::ApiFuture<R>::ready(
-        R::failure(ctrl::ApiErrc::kQueueFull, error.what()));
-  } catch (const std::exception& error) {
-    return ctrl::ApiFuture<R>::ready(
-        R::failure(ctrl::ApiErrc::kPoolStopped,
-                   std::string("deputy unavailable: ") + error.what()));
+        channelFailure<R>(runtime, app, std::current_exception()));
   }
   auto wait = [&runtime, app, future, deadline, startNs]() -> R {
-    bool ready;
-    if (VirtualExecutor* executor = virtualExecutor()) {
-      executor->await(
-          [future] {
-            return future->wait_for(std::chrono::seconds(0)) ==
-                   std::future_status::ready;
-          },
-          "ksd.async");
-      ready = future->wait_for(std::chrono::seconds(0)) ==
-              std::future_status::ready;
-    } else {
-      ready = future->wait_until(deadline) == std::future_status::ready;
-    }
-    if (!ready) {
-      recordKsdDeadlineMiss();
-      runtime.controller().audit().recordFault(
-          app, "api call: async KSD call missed its deadline");
-      return R::failure(ctrl::ApiErrc::kDeadlineExceeded,
-                        "KSD call missed its deadline");
-    }
     try {
-      R result = future->get();
-      recordKsdCall(obs::Tracer::nowNs() - startNs);
-      return result;
-    } catch (const std::future_error&) {
-      return R::failure(ctrl::ApiErrc::kPoolStopped,
-                        "deputy dropped the call");
-    } catch (const std::exception& error) {
-      return R::failure(ctrl::ApiErrc::kPoolStopped,
-                        std::string("deputy unavailable: ") + error.what());
+      return runtime.ksd().await(*future, deadline, startNs, "ksd.async");
+    } catch (...) {
+      return channelFailure<R>(runtime, app, std::current_exception());
     }
   };
   auto poll = [future] {
@@ -180,119 +145,140 @@ ctrl::ApiFuture<R> submitViaDeputy(ShieldRuntime& runtime, of::AppId app,
   return ctrl::ApiFuture<R>(std::move(wait), std::move(poll));
 }
 
+/// The deputy's one mediation point: the app's compiled permissions,
+/// resolved once per deputy call, check and audit each ApiCall the call
+/// makes. An app that is not installed is denied like any other call, so
+/// every deputy denial is decided and recorded here.
+class Mediation {
+ public:
+  Mediation(ShieldRuntime& runtime, of::AppId app)
+      : runtime_(runtime), compiled_(runtime.engine().compiled(app)) {}
+
+  /// Checks and audits @p call: nullopt when allowed, else the
+  /// kPermissionDenied response R the deputy body returns.
+  template <typename R = ctrl::ApiResult>
+  std::optional<R> check(const perm::ApiCall& call) const {
+    engine::Decision decision =
+        compiled_ ? compiled_->check(call)
+                  : engine::Decision::deny("app not installed");
+    runtime_.controller().audit().record(call, decision.allowed,
+                                         decision.reason);
+    if (decision.allowed) return std::nullopt;
+    return R::failure(ctrl::ApiErrc::kPermissionDenied,
+                      std::move(decision.reason));
+  }
+
+  /// Valid once check() has allowed a call.
+  const engine::CompiledPermissions& compiled() const { return *compiled_; }
+
+ private:
+  ShieldRuntime& runtime_;
+  std::shared_ptr<const engine::CompiledPermissions> compiled_;
+};
+
+/// Entry-level visibility of a flow read: each returned entry is labelled by
+/// the call's compiled filter program, with its own match and ownership.
+bool entryVisible(const engine::CompiledPermissions& compiled,
+                  const engine::OwnershipTracker& ownership,
+                  perm::ApiCall entryCall, const of::FlowMatch& match,
+                  std::uint16_t priority) {
+  auto owner = ownership.ownerOf(*entryCall.dpid, match, priority);
+  entryCall.ownFlow = owner && *owner == entryCall.app;
+  entryCall.match = match;
+  entryCall.priority = priority;
+  return compiled.check(entryCall).allowed;
+}
+
+/// Runs a market_admin-gated lifecycle operation (@p op on the attached
+/// market) on a deputy; @p operation names it for the audit log.
+template <typename R, typename Op>
+R viaMarket(ShieldRuntime& runtime, of::AppId app, std::string operation,
+            Op op) {
+  return viaDeputy<R>(runtime, app, [&runtime, app, operation, op]() -> R {
+    auto call = perm::ApiCall::marketAdmin(app, operation);
+    if (auto denied = Mediation(runtime, app).check<R>(call)) return *denied;
+    ctrl::MarketControl* market = runtime.controller().marketControl();
+    if (!market) {
+      return R::failure(ctrl::ApiErrc::kInvalidArgument,
+                        "no app market attached");
+    }
+    return op(*market);
+  });
+}
+
 }  // namespace
 
-ctrl::ApiResult ShieldedApi::doInsertFlow(of::DatapathId dpid,
-                                          const of::FlowMod& mod) {
-  auto compiled = runtime_.engine().compiled(app_);
-  if (!compiled) {
-    return ctrl::ApiResult::failure(ctrl::ApiErrc::kPermissionDenied,
-                                    "app not installed");
+ctrl::ApiResponse<std::vector<std::pair<of::DatapathId, of::FlowMod>>>
+ShieldedApi::translateVirtual(const of::FlowMod& mod) const {
+  using Response =
+      ctrl::ApiResponse<std::vector<std::pair<of::DatapathId, of::FlowMod>>>;
+  auto vtopo = runtime_.virtualTopologyFor(app_);
+  if (!vtopo.ok()) return Response::failure(vtopo.error());
+  try {
+    return Response::success(vtopo.value().translateFlowMod(mod));
+  } catch (const std::invalid_argument& error) {
+    return Response::failure(ctrl::ApiErrc::kInvalidArgument, error.what());
   }
-  engine::OwnershipTracker& ownership = runtime_.controller().ownership();
-  perm::ApiCall call = perm::ApiCall::insertFlow(app_, dpid, mod);
-  bool isModify = mod.command == of::FlowModCommand::kModify ||
-                  mod.command == of::FlowModCommand::kModifyStrict;
-  // OWN_FLOWS semantics: a *modify* targets existing rules (all of them
-  // must be the caller's); an *add* must not shadow/override a foreign rule.
-  call.ownFlow =
-      isModify
-          ? ownership.ownsAllMatching(app_, dpid, mod.match)
-          : !ownership.overridesForeignFlow(app_, dpid, mod.match,
-                                            mod.priority);
-  call.ruleCountAfter = ownership.countFor(app_, dpid) + (isModify ? 0 : 1);
-  engine::Decision decision = compiled->check(call);
-  runtime_.controller().audit().record(call, decision.allowed, decision.reason);
-  if (!decision.allowed) return denied(decision);
+}
 
-  // Abstract-topology translation (§VI-B.1): a rule addressed to the
-  // virtual big switch expands into physical rules along shortest paths.
-  if (dpid == kVirtualDpid) {
-    auto vtopo = runtime_.virtualTopologyFor(app_);
-    if (!vtopo) {
-      return ctrl::ApiResult::failure(ctrl::ApiErrc::kPermissionDenied,
-                                      "no virtual topology granted");
-    }
-    std::vector<std::pair<of::DatapathId, of::FlowMod>> physical;
-    try {
-      physical = vtopo->translateFlowMod(mod);
-    } catch (const std::invalid_argument& error) {
-      return ctrl::ApiResult::failure(ctrl::ApiErrc::kInvalidArgument,
-                                      error.what());
-    }
-    for (const auto& [physDpid, physMod] : physical) {
-      ctrl::ApiResult result =
-          runtime_.controller().kernelInsertFlow(app_, physDpid, physMod);
-      if (!result.ok()) return result;
-    }
-    return ctrl::ApiResult::success();
+ctrl::ApiResult ShieldedApi::insertVirtual(const of::FlowMod& mod) {
+  auto physical = translateVirtual(mod);
+  if (!physical.ok()) return ctrl::ApiResult::failure(physical.error());
+  for (const auto& [physDpid, physMod] : physical.value()) {
+    ctrl::ApiResult result =
+        runtime_.controller().kernelInsertFlow(app_, physDpid, physMod);
+    if (!result.ok()) return result;
   }
-  return runtime_.controller().kernelInsertFlow(app_, dpid, mod);
+  return ctrl::ApiResult::success();
 }
 
 ctrl::ApiResult ShieldedApi::doInsertFlows(of::DatapathId dpid,
-                                           const std::vector<of::FlowMod>& mods) {
-  if (mods.empty()) return ctrl::ApiResult::success();
-  // The permission context — compiled program and base rule count — is
-  // resolved once for the whole batch; per-mod checks reuse it with the
-  // running count of adds admitted so far (what the count would be had the
-  // mods been applied sequentially).
-  auto compiled = runtime_.engine().compiled(app_);
-  if (!compiled) {
-    return ctrl::ApiResult::failure(ctrl::ApiErrc::kPermissionDenied,
-                                    "app not installed");
-  }
-  if (dpid == kVirtualDpid) {
-    // Virtual-big-switch rules expand per mod; batching stops at the
-    // translation boundary.
-    ctrl::ApiResult result = ctrl::ApiResult::success();
-    for (const of::FlowMod& mod : mods) {
-      ctrl::ApiResult one = doInsertFlow(dpid, mod);
-      if (!one.ok() && result.ok()) result = one;
-    }
-    return result;
-  }
-  engine::OwnershipTracker& ownership = runtime_.controller().ownership();
-  std::size_t baseCount = ownership.countFor(app_, dpid);
+                                           std::span<const of::FlowMod> mods) {
+  // The compiled program is resolved once for the whole call; each mod's
+  // rule count adds the adds admitted before it (what the count would be
+  // had the mods been applied sequentially). Own-flow attributes read the
+  // pre-call state: earlier mods only add the caller's own rules, which
+  // cannot make a later add override a *foreign* flow.
+  Mediation mediation(runtime_, app_);
+  ctrl::Controller& controller = runtime_.controller();
+  ctrl::ApiResult result = ctrl::ApiResult::success();
+  auto keepFirstFailure = [&result](ctrl::ApiResult one) {
+    if (!one.ok() && result.ok()) result = std::move(one);
+  };
   std::size_t pendingAdds = 0;
   std::vector<of::FlowMod> admitted;
-  admitted.reserve(mods.size());
-  ctrl::ApiResult result = ctrl::ApiResult::success();
   for (const of::FlowMod& mod : mods) {
-    perm::ApiCall call = perm::ApiCall::insertFlow(app_, dpid, mod);
-    bool isModify = mod.command == of::FlowModCommand::kModify ||
-                    mod.command == of::FlowModCommand::kModifyStrict;
-    // Own-flow attributes against pre-batch state: earlier mods in the batch
-    // only add the caller's own rules, which cannot make a later add
-    // override a *foreign* flow.
-    call.ownFlow =
-        isModify
-            ? ownership.ownsAllMatching(app_, dpid, mod.match)
-            : !ownership.overridesForeignFlow(app_, dpid, mod.match,
-                                              mod.priority);
-    call.ruleCountAfter = baseCount + pendingAdds + (isModify ? 0 : 1);
-    engine::Decision decision = compiled->check(call);
-    runtime_.controller().audit().record(call, decision.allowed,
-                                         decision.reason);
-    if (!decision.allowed) {
-      if (result.ok()) result = denied(decision);
-      continue;
+    if (auto denied = mediation.check(engine::flowModCall(
+            controller.ownership(), app_, dpid, mod, pendingAdds))) {
+      keepFirstFailure(std::move(*denied));
+    } else if (dpid == kVirtualDpid) {
+      // Abstract-topology translation (§VI-B.1): a virtual-big-switch rule
+      // expands into physical rules along shortest paths, so batching
+      // stops at the translation boundary.
+      keepFirstFailure(insertVirtual(mod));
+    } else {
+      if (mod.addsRule()) ++pendingAdds;
+      if (mods.size() > 1) admitted.push_back(mod);
     }
-    if (!isModify) ++pendingAdds;
-    admitted.push_back(mod);
+  }
+  if (dpid == kVirtualDpid) return result;
+  // A lone mod keeps the single-insert kernel call (no batch copy); a batch
+  // sends its admitted mods to the kernel as one vectorized insert.
+  if (mods.size() == 1) {
+    return result.ok() ? controller.kernelInsertFlow(app_, dpid, mods[0])
+                       : result;
   }
   if (!admitted.empty()) {
-    ctrl::ApiResult applied =
-        runtime_.controller().kernelInsertFlows(app_, dpid, admitted);
-    if (!applied.ok() && result.ok()) result = applied;
+    keepFirstFailure(controller.kernelInsertFlows(app_, dpid, admitted));
   }
   return result;
 }
 
 ctrl::ApiResult ShieldedApi::insertFlow(of::DatapathId dpid,
                                         const of::FlowMod& mod) {
-  return viaDeputy<ctrl::ApiResult>(
-      runtime_, app_, [this, dpid, mod] { return doInsertFlow(dpid, mod); });
+  return viaDeputy<ctrl::ApiResult>(runtime_, app_, [this, dpid, mod] {
+    return doInsertFlows(dpid, {&mod, 1});
+  });
 }
 
 ctrl::ApiResult ShieldedApi::insertFlows(of::DatapathId dpid,
@@ -303,8 +289,9 @@ ctrl::ApiResult ShieldedApi::insertFlows(of::DatapathId dpid,
 
 ctrl::ApiFuture<ctrl::ApiResult> ShieldedApi::insertFlowAsync(
     of::DatapathId dpid, const of::FlowMod& mod) {
-  return submitViaDeputy<ctrl::ApiResult>(
-      runtime_, app_, [this, dpid, mod] { return doInsertFlow(dpid, mod); });
+  return submitViaDeputy<ctrl::ApiResult>(runtime_, app_, [this, dpid, mod] {
+    return doInsertFlows(dpid, {&mod, 1});
+  });
 }
 
 ctrl::ApiFuture<ctrl::ApiResult> ShieldedApi::sendPacketOutAsync(
@@ -317,49 +304,29 @@ ctrl::ApiFuture<ctrl::ApiResult> ShieldedApi::sendPacketOutAsync(
 ctrl::ApiResult ShieldedApi::deleteFlow(of::DatapathId dpid,
                                         const of::FlowMatch& match,
                                         bool strict, std::uint16_t priority) {
-  return viaDeputy<ctrl::ApiResult>(runtime_, app_, [this, dpid, match,
-                                                     strict, priority] {
-    auto compiled = runtime_.engine().compiled(app_);
-    if (!compiled) {
-      return ctrl::ApiResult::failure(ctrl::ApiErrc::kPermissionDenied,
-                                      "app not installed");
+  of::FlowMod remove;
+  remove.command =
+      strict ? of::FlowModCommand::kDeleteStrict : of::FlowModCommand::kDelete;
+  remove.match = match;
+  remove.priority = priority;
+  return viaDeputy<ctrl::ApiResult>(runtime_, app_, [this, dpid, remove,
+                                                     strict] {
+    ctrl::Controller& controller = runtime_.controller();
+    auto call = engine::flowModCall(controller.ownership(), app_, dpid, remove);
+    if (auto denied = Mediation(runtime_, app_).check(call)) return *denied;
+    if (dpid != kVirtualDpid) {
+      return controller.kernelDeleteFlow(app_, dpid, remove.match, strict,
+                                         remove.priority);
     }
-    perm::ApiCall call = perm::ApiCall::deleteFlow(
-        app_, dpid, match,
-        runtime_.controller().ownership().ownsAllMatching(app_, dpid, match));
-    call.priority = priority;
-    engine::Decision decision = compiled->check(call);
-    runtime_.controller().audit().record(call, decision.allowed,
-                                         decision.reason);
-    if (!decision.allowed) return denied(decision);
     // Virtual big switch: the delete addresses every member shard the
     // corresponding insert was realised on (§VI-B.1).
-    if (dpid == kVirtualDpid) {
-      auto vtopo = runtime_.virtualTopologyFor(app_);
-      if (!vtopo) {
-        return ctrl::ApiResult::failure(ctrl::ApiErrc::kPermissionDenied,
-                                        "no virtual topology granted");
-      }
-      of::FlowMod vdelete;
-      vdelete.command = strict ? of::FlowModCommand::kDeleteStrict
-                               : of::FlowModCommand::kDelete;
-      vdelete.match = match;
-      vdelete.priority = priority;
-      std::vector<std::pair<of::DatapathId, of::FlowMod>> shards;
-      try {
-        shards = vtopo->translateFlowMod(vdelete);
-      } catch (const std::invalid_argument& error) {
-        return ctrl::ApiResult::failure(ctrl::ApiErrc::kInvalidArgument,
-                                        error.what());
-      }
-      for (const auto& [shardDpid, shardMod] : shards) {
-        runtime_.controller().kernelDeleteFlow(app_, shardDpid, shardMod.match,
-                                               strict, priority);
-      }
-      return ctrl::ApiResult::success();
+    auto shards = translateVirtual(remove);
+    if (!shards.ok()) return ctrl::ApiResult::failure(shards.error());
+    for (const auto& [shardDpid, shardMod] : shards.value()) {
+      controller.kernelDeleteFlow(app_, shardDpid, shardMod.match, strict,
+                                  remove.priority);
     }
-    return runtime_.controller().kernelDeleteFlow(app_, dpid, match, strict,
-                                                  priority);
+    return ctrl::ApiResult::success();
   });
 }
 
@@ -368,26 +335,20 @@ ctrl::ApiResult ShieldedApi::commitFlowTransaction(
   return viaDeputy<ctrl::ApiResult>(runtime_, app_, [this, mods] {
     engine::OwnershipTracker& ownership = runtime_.controller().ownership();
     engine::Transaction transaction;
-    std::map<of::DatapathId, std::size_t> pendingPerSwitch;
+    std::map<of::DatapathId, std::size_t> pendingAdds;
     for (const auto& [dpid, mod] : mods) {
-      perm::ApiCall call = perm::ApiCall::insertFlow(app_, dpid, mod);
-      call.ownFlow =
-          !ownership.overridesForeignFlow(app_, dpid, mod.match, mod.priority);
-      call.ruleCountAfter =
-          ownership.countFor(app_, dpid) + (++pendingPerSwitch[dpid]);
-      of::DatapathId capturedDpid = dpid;
-      of::FlowMod capturedMod = mod;
+      std::size_t& pending = pendingAdds[dpid];
+      perm::ApiCall call =
+          engine::flowModCall(ownership, app_, dpid, mod, pending);
+      if (mod.addsRule()) ++pending;
       transaction.add(engine::TxOperation{
           std::move(call),
-          [this, capturedDpid, capturedMod] {
-            return runtime_.controller()
-                .kernelInsertFlow(app_, capturedDpid, capturedMod)
-                .ok();
+          [this, dpid, mod] {
+            return runtime_.controller().kernelInsertFlow(app_, dpid, mod).ok();
           },
-          [this, capturedDpid, capturedMod] {
+          [this, dpid, mod] {
             runtime_.controller().kernelDeleteFlow(
-                app_, capturedDpid, capturedMod.match, /*strict=*/true,
-                capturedMod.priority);
+                app_, dpid, mod.match, /*strict=*/true, mod.priority);
           }});
     }
     engine::TxResult result = transaction.commit(runtime_.engine());
@@ -417,45 +378,29 @@ ctrl::ApiResponse<std::vector<of::FlowEntry>> ShieldedApi::readFlowTable(
     }
     auto response = runtime_.controller().kernelReadFlowTable(dpid);
     if (!response.ok()) return response;
-    // Entry-level visibility filtering: each entry is labelled by the same
-    // compiled filter program, with its own match/ownership attributes.
-    engine::OwnershipTracker& ownership = runtime_.controller().ownership();
-    std::vector<of::FlowEntry> visible;
-    for (of::FlowEntry& entry : response.value()) {
-      perm::ApiCall entryCall = perm::ApiCall::readFlowTable(app_, dpid);
-      entryCall.match = entry.match;
-      entryCall.priority = entry.priority;
-      auto owner = ownership.ownerOf(dpid, entry.match, entry.priority);
-      entryCall.ownFlow = owner && *owner == app_;
-      if (compiled->check(entryCall).allowed) {
-        visible.push_back(std::move(entry));
-      }
-    }
-    return Response::success(std::move(visible));
+    std::erase_if(response.value(), [&](const of::FlowEntry& entry) {
+      return !entryVisible(*compiled, runtime_.controller().ownership(), call,
+                           entry.match, entry.priority);
+    });
+    return response;
   });
 }
 
 ctrl::ApiResponse<net::Topology> ShieldedApi::readTopology() {
   using Response = ctrl::ApiResponse<net::Topology>;
   return viaDeputy<Response>(runtime_, app_, [this]() -> Response {
-    auto compiled = runtime_.engine().compiled(app_);
-    perm::ApiCall call = perm::ApiCall::readTopology(app_);
-    engine::Decision decision =
-        compiled ? compiled->check(call)
-                 : engine::Decision::deny("app not installed");
-    runtime_.controller().audit().record(call, decision.allowed,
-                                         decision.reason);
-    if (!decision.allowed) {
-      return Response::failure(ctrl::ApiErrc::kPermissionDenied,
-                               decision.reason);
+    Mediation mediation(runtime_, app_);
+    auto call = perm::ApiCall::readTopology(app_);
+    if (auto denied = mediation.check<Response>(call)) return *denied;
+    const engine::CompiledPermissions& compiled = mediation.compiled();
+    // Virtual abstraction wins over plain projection when both are present.
+    if (compiled.virtualTopology()) {
+      if (auto vtopo = runtime_.virtualTopologyFor(app_); vtopo.ok()) {
+        return Response::success(vtopo.value().abstractView());
+      }
     }
     net::Topology topology = runtime_.controller().kernelReadTopology();
-    // Virtual abstraction wins over plain projection when both are present.
-    if (compiled->virtualTopology()) {
-      auto vtopo = runtime_.virtualTopologyFor(app_);
-      if (vtopo) return Response::success(vtopo->abstractView());
-    }
-    if (const auto* projection = compiled->topologyProjection()) {
+    if (const auto* projection = compiled.topologyProjection()) {
       net::Topology restricted = topology.restrictTo(projection->switches());
       if (!projection->links().empty()) {
         for (const net::Link& link : restricted.links()) {
@@ -475,34 +420,23 @@ ctrl::ApiResponse<of::StatsReply> ShieldedApi::readStatistics(
     const of::StatsRequest& request) {
   using Response = ctrl::ApiResponse<of::StatsReply>;
   return viaDeputy<Response>(runtime_, app_, [this, request]() -> Response {
-    auto compiled = runtime_.engine().compiled(app_);
     perm::ApiCall call = perm::ApiCall::readStatistics(app_, request);
     // Flow-level requests are checked per returned entry (projection), so
     // the call-level check omits the match attribute.
     call.match.reset();
-    engine::Decision decision =
-        compiled ? compiled->check(call)
-                 : engine::Decision::deny("app not installed");
-    runtime_.controller().audit().record(call, decision.allowed,
-                                         decision.reason);
-    if (!decision.allowed) {
-      return Response::failure(ctrl::ApiErrc::kPermissionDenied,
-                               decision.reason);
-    }
+    Mediation mediation(runtime_, app_);
+    if (auto denied = mediation.check<Response>(call)) return *denied;
 
     // Virtual big switch: query members and aggregate (§VI-B.1).
     if (request.dpid == kVirtualDpid) {
       auto vtopo = runtime_.virtualTopologyFor(app_);
-      if (!vtopo) {
-        return Response::failure(ctrl::ApiErrc::kPermissionDenied,
-                                 "no virtual topology granted");
-      }
+      if (!vtopo.ok()) return Response::failure(vtopo.error());
       of::StatsReply aggregate;
       aggregate.level = request.level;
       aggregate.dpid = kVirtualDpid;
       std::vector<of::SwitchStats> memberStats;
       std::vector<of::FlowStatsEntry> memberFlows;
-      for (of::DatapathId member : vtopo->virtualSwitch().members) {
+      for (of::DatapathId member : vtopo.value().virtualSwitch().members) {
         of::StatsRequest memberRequest = request;
         memberRequest.dpid = member;
         auto response =
@@ -515,8 +449,8 @@ ctrl::ApiResponse<of::StatsReply> ShieldedApi::readStatistics(
                                response.value().ports.begin(),
                                response.value().ports.end());
       }
-      aggregate.switchStats = vtopo->aggregateSwitchStats(memberStats);
-      aggregate.flows = vtopo->aggregateFlowStats(memberFlows);
+      aggregate.switchStats = vtopo.value().aggregateSwitchStats(memberStats);
+      aggregate.flows = vtopo.value().aggregateFlowStats(memberFlows);
       return Response::success(std::move(aggregate));
     }
 
@@ -525,54 +459,35 @@ ctrl::ApiResponse<of::StatsReply> ShieldedApi::readStatistics(
       return response;
     }
     // Flow-level: project the reply through the per-entry filter.
-    engine::OwnershipTracker& ownership = runtime_.controller().ownership();
-    std::vector<of::FlowStatsEntry> visible;
-    for (of::FlowStatsEntry& entry : response.value().flows) {
-      perm::ApiCall entryCall = call;
-      entryCall.match = entry.match;
-      entryCall.priority = entry.priority;
-      auto owner = ownership.ownerOf(request.dpid, entry.match, entry.priority);
-      entryCall.ownFlow = owner && *owner == app_;
-      if (compiled->check(entryCall).allowed) {
-        visible.push_back(std::move(entry));
-      }
-    }
-    response.value().flows = std::move(visible);
+    std::erase_if(response.value().flows, [&](const of::FlowStatsEntry& e) {
+      return !entryVisible(mediation.compiled(),
+                           runtime_.controller().ownership(), call, e.match,
+                           e.priority);
+    });
     return response;
   });
 }
 
 ctrl::ApiResult ShieldedApi::doSendPacketOut(const of::PacketOut& packetOut) {
-  auto compiled = runtime_.engine().compiled(app_);
-  if (!compiled) {
-    return ctrl::ApiResult::failure(ctrl::ApiErrc::kPermissionDenied,
-                                    "app not installed");
-  }
   of::PacketOut verified = packetOut;
   // Provenance is established by the deputy, not trusted from the app: the
   // packet must byte-match one recently delivered to this app as a
   // packet-in (FROM_PKT_IN filter input).
   verified.fromPacketIn = recent_ && recent_->seen(packetOut.packet);
-  perm::ApiCall call = perm::ApiCall::sendPacketOut(app_, verified);
-  engine::Decision decision = compiled->check(call);
-  runtime_.controller().audit().record(call, decision.allowed,
-                                       decision.reason);
-  if (!decision.allowed) return denied(decision);
-  if (verified.dpid == kVirtualDpid) {
-    auto vtopo = runtime_.virtualTopologyFor(app_);
-    if (!vtopo) {
-      return ctrl::ApiResult::failure(ctrl::ApiErrc::kPermissionDenied,
-                                      "no virtual topology granted");
-    }
-    try {
-      auto [physDpid, physOut] = vtopo->translatePacketOut(verified);
-      return runtime_.controller().kernelSendPacketOut(physOut);
-    } catch (const std::invalid_argument& error) {
-      return ctrl::ApiResult::failure(ctrl::ApiErrc::kInvalidArgument,
-                                      error.what());
-    }
+  auto call = perm::ApiCall::sendPacketOut(app_, verified);
+  if (auto denied = Mediation(runtime_, app_).check(call)) return *denied;
+  if (verified.dpid != kVirtualDpid) {
+    return runtime_.controller().kernelSendPacketOut(verified);
   }
-  return runtime_.controller().kernelSendPacketOut(verified);
+  auto vtopo = runtime_.virtualTopologyFor(app_);
+  if (!vtopo.ok()) return ctrl::ApiResult::failure(vtopo.error());
+  try {
+    auto [physDpid, physOut] = vtopo.value().translatePacketOut(verified);
+    return runtime_.controller().kernelSendPacketOut(physOut);
+  } catch (const std::invalid_argument& error) {
+    return ctrl::ApiResult::failure(ctrl::ApiErrc::kInvalidArgument,
+                                    error.what());
+  }
 }
 
 ctrl::ApiResult ShieldedApi::sendPacketOut(const of::PacketOut& packetOut) {
@@ -586,16 +501,10 @@ ctrl::ApiResult ShieldedApi::publishData(const std::string& topic,
   return viaDeputy<ctrl::ApiResult>(runtime_, app_, [this, topic, payload] {
     // Data-model publication writes the controller's network view: mediated
     // under modify_topology (cf. the YANG data-broker mediation, §VIII-B).
-    auto compiled = runtime_.engine().compiled(app_);
     perm::ApiCall call;
     call.type = perm::ApiCallType::kModifyTopology;
     call.app = app_;
-    engine::Decision decision =
-        compiled ? compiled->check(call)
-                 : engine::Decision::deny("app not installed");
-    runtime_.controller().audit().record(call, decision.allowed,
-                                         decision.reason);
-    if (!decision.allowed) return denied(decision);
+    if (auto denied = Mediation(runtime_, app_).check(call)) return *denied;
     runtime_.controller().kernelPublishData(app_, topic, payload);
     return ctrl::ApiResult::success();
   });
@@ -604,7 +513,6 @@ ctrl::ApiResult ShieldedApi::publishData(const std::string& topic,
 ctrl::ApiResponse<ctrl::StatsReport> ShieldedApi::statsReport() {
   using Response = ctrl::ApiResponse<ctrl::StatsReport>;
   return viaDeputy<Response>(runtime_, app_, [this]() -> Response {
-    auto compiled = runtime_.engine().compiled(app_);
     // Controller-wide counters are switch-granularity data: the report is
     // gated behind read_statistics at SWITCH level, so a flow- or
     // port-scoped statistics grant does not expose the fleet view.
@@ -612,85 +520,39 @@ ctrl::ApiResponse<ctrl::StatsReport> ShieldedApi::statsReport() {
     call.type = perm::ApiCallType::kReadStatistics;
     call.app = app_;
     call.statsLevel = of::StatsLevel::kSwitch;
-    engine::Decision decision =
-        compiled ? compiled->check(call)
-                 : engine::Decision::deny("app not installed");
-    runtime_.controller().audit().record(call, decision.allowed,
-                                         decision.reason);
-    if (!decision.allowed) {
-      return Response::failure(ctrl::ApiErrc::kPermissionDenied,
-                               decision.reason);
-    }
+    Mediation mediation(runtime_, app_);
+    if (auto denied = mediation.check<Response>(call)) return *denied;
     return Response::success(runtime_.controller().statsReport());
   });
 }
 
-namespace {
-
-/// Deputy-side market_admin gate shared by the three lifecycle calls.
-engine::Decision checkMarketAdmin(ShieldRuntime& runtime, of::AppId app,
-                                  const std::string& operation) {
-  auto compiled = runtime.engine().compiled(app);
-  perm::ApiCall call = perm::ApiCall::marketAdmin(app, operation);
-  engine::Decision decision = compiled
-                                  ? compiled->check(call)
-                                  : engine::Decision::deny("app not installed");
-  runtime.controller().audit().record(call, decision.allowed, decision.reason);
-  return decision;
-}
-
-}  // namespace
-
 ctrl::ApiResult ShieldedApi::updatePolicy(const std::string& policyText) {
-  return viaDeputy<ctrl::ApiResult>(
-      runtime_, app_, [this, policyText]() -> ctrl::ApiResult {
-        engine::Decision decision =
-            checkMarketAdmin(runtime_, app_, "update_policy");
-        if (!decision.allowed) return denied(decision);
-        ctrl::MarketControl* market = runtime_.controller().marketControl();
-        if (!market) {
-          return ctrl::ApiResult::failure(ctrl::ApiErrc::kInvalidArgument,
-                                          "no app market attached");
-        }
-        // Deputy-thread safe: the market's policy swap never joins app
-        // containers (it only touches the permission engine + journal).
-        return market->updatePolicy(policyText);
+  // Deputy-thread safe: the market's policy swap never joins app containers
+  // (it only touches the permission engine + journal).
+  return viaMarket<ctrl::ApiResult>(
+      runtime_, app_, "update_policy",
+      [policyText](ctrl::MarketControl& market) {
+        return market.updatePolicy(policyText);
       });
 }
 
 ctrl::ApiResult ShieldedApi::revokeApp(of::AppId app,
                                        const std::string& reason) {
-  return viaDeputy<ctrl::ApiResult>(
-      runtime_, app_, [this, app, reason]() -> ctrl::ApiResult {
-        engine::Decision decision = checkMarketAdmin(
-            runtime_, app_, "revoke " + std::to_string(app));
-        if (!decision.allowed) return denied(decision);
-        ctrl::MarketControl* market = runtime_.controller().marketControl();
-        if (!market) {
-          return ctrl::ApiResult::failure(ctrl::ApiErrc::kInvalidArgument,
-                                          "no app market attached");
-        }
-        // Deputy-thread safe: revocation quarantines (seals, never joins)
-        // the target container.
-        return market->revokeApp(app, reason);
+  // Deputy-thread safe: revocation quarantines (seals, never joins) the
+  // target container.
+  return viaMarket<ctrl::ApiResult>(
+      runtime_, app_, "revoke " + std::to_string(app),
+      [app, reason](ctrl::MarketControl& market) {
+        return market.revokeApp(app, reason);
       });
 }
 
 ctrl::ApiResponse<std::string> ShieldedApi::marketReport() {
   using Response = ctrl::ApiResponse<std::string>;
-  return viaDeputy<Response>(runtime_, app_, [this]() -> Response {
-    engine::Decision decision = checkMarketAdmin(runtime_, app_, "report");
-    if (!decision.allowed) {
-      return Response::failure(ctrl::ApiErrc::kPermissionDenied,
-                               decision.reason);
-    }
-    ctrl::MarketControl* market = runtime_.controller().marketControl();
-    if (!market) {
-      return Response::failure(ctrl::ApiErrc::kInvalidArgument,
-                               "no app market attached");
-    }
-    return Response::success(market->report());
-  });
+  return viaMarket<Response>(runtime_, app_, "report",
+                             [](ctrl::MarketControl& market) {
+                               return Response::success(market.report());
+                             });
 }
 
 // --- ShieldedContext --------------------------------------------------------------
@@ -709,211 +571,148 @@ ctrl::HostServices& ShieldedContext::host() {
 
 namespace {
 
-/// Checks an event-subscription call on a deputy and records it.
-ctrl::ApiResult checkSubscribe(ShieldRuntime& runtime, of::AppId app,
-                               perm::ApiCallType type) {
-  return viaDeputy<ctrl::ApiResult>(runtime, app, [&runtime, app, type] {
-    perm::ApiCall call = perm::ApiCall::subscribe(app, type);
-    engine::Decision decision = runtime.engine().check(call);
-    runtime.controller().audit().record(call, decision.allowed,
-                                        decision.reason);
-    if (!decision.allowed) return denied(decision);
-    return ctrl::ApiResult::success();
-  });
+constexpr auto kAdmitAll = [](const auto&) { return true; };
+
+/// Per-event filtering: a grant with e.g. OWN_FLOWS or a topology filter
+/// only sees the events its filter admits (every event while the app has
+/// no compiled set).
+bool eventAdmitted(ShieldRuntime& runtime, const perm::ApiCall& eventCall) {
+  auto compiled = runtime.engine().compiled(eventCall.app);
+  return !compiled || compiled->check(eventCall).allowed;
+}
+
+/// Packet-in admission: payload in pkt-in messages is a separate privilege
+/// (read_payload, Table II), stripped for apps that only hold pkt_in_event;
+/// the delivered packet is remembered for FROM_PKT_IN provenance.
+auto stripPayload(ShieldRuntime& runtime, of::AppId app,
+                  std::shared_ptr<RecentPacketIns> recent) {
+  return [&runtime, app, recent](ctrl::PacketInEvent& event) {
+    auto compiled = runtime.engine().compiled(app);
+    if (!compiled || !compiled->hasToken(perm::Token::kReadPayload)) {
+      event.packetIn.packet.payload.clear();
+    }
+    recent->remember(event.packetIn.packet);
+    return true;
+  };
 }
 
 }  // namespace
 
-ctrl::ApiResponse<ctrl::SubscriptionId> ShieldedContext::subscribePacketIn(
-    std::function<void(const ctrl::PacketInEvent&)> handler) {
+template <typename E, typename Handler, typename Admit, typename Register>
+ctrl::ApiResponse<ctrl::SubscriptionId> ShieldedContext::subscribe(
+    perm::ApiCall gate, Handler handler, Admit admit, Register add) {
   using Response = ctrl::ApiResponse<ctrl::SubscriptionId>;
-  ctrl::ApiResult checked = checkSubscribe(
-      runtime_, app_, perm::ApiCallType::kSubscribePacketIn);
+  ctrl::ApiResult checked =
+      viaDeputy<ctrl::ApiResult>(runtime_, app_, [this, gate] {
+        auto denied = Mediation(runtime_, app_).check(gate);
+        return denied ? *denied : ctrl::ApiResult::success();
+      });
   if (!checked.ok()) return Response::failure(checked.error());
-  ShieldRuntime& runtime = runtime_;
-  of::AppId app = app_;
-  auto container = container_;
-  auto recent = recent_;
-  ctrl::SubscriptionId id = runtime_.controller().addPacketInSubscriber(
-      app_, [&runtime, app, container, recent,
-             handler = std::move(handler)](const ctrl::Event& event) {
-        const auto* typed = std::get_if<ctrl::PacketInEvent>(&event);
-        if (typed == nullptr) return;
-        ctrl::PacketInEvent delivered = *typed;
-        auto compiled = runtime.engine().compiled(app);
-        // Payload in pkt-in messages is a separate privilege (read_payload,
-        // Table II): strip it for apps that only hold pkt_in_event.
-        if (!compiled || !compiled->hasToken(perm::Token::kReadPayload)) {
-          delivered.packetIn.packet.payload.clear();
-        }
-        recent->remember(delivered.packetIn.packet);
-        if (!container->tryPost([handler, delivered = std::move(delivered)] {
-              handler(delivered);
-            })) {
+  using Result = std::invoke_result_t<Handler&, const E&>;
+  return Response::success(std::invoke(
+      add, runtime_.controller(), app_,
+      [&runtime = runtime_, app = app_, container = container_,
+       handler = std::move(handler),
+       admit = std::move(admit)](const ctrl::Event& event) -> Result {
+        const auto* typed = std::get_if<E>(&event);
+        if (typed == nullptr) return Result();
+        E delivered = *typed;
+        if (!admit(delivered)) return Result();
+        if constexpr (std::is_same_v<Result, bool>) {
+          // Interception is inherently synchronous (the consume/forward
+          // decision gates delivery to other apps), so the handler runs on
+          // the dispatch thread — under the app's ambient identity, so host
+          // calls made from it are still attributed and mediated correctly.
+          ScopedIdentity identity(app);
+          return handler(delivered);
+        } else if (!container->tryPost(
+                       [handler, delivered = std::move(delivered)] {
+                         handler(delivered);
+                       })) {
           runtime.supervisor().recordEventDrop(app);
         }
-      });
-  return Response::success(id);
+      }));
+}
+
+ctrl::ApiResponse<ctrl::SubscriptionId> ShieldedContext::subscribePacketIn(
+    std::function<void(const ctrl::PacketInEvent&)> handler) {
+  return subscribe<ctrl::PacketInEvent>(
+      perm::ApiCall::subscribe(app_, perm::ApiCallType::kSubscribePacketIn),
+      std::move(handler), stripPayload(runtime_, app_, recent_),
+      &ctrl::Controller::addPacketInSubscriber);
 }
 
 ctrl::ApiResponse<ctrl::SubscriptionId>
 ShieldedContext::subscribePacketInInterceptor(
     std::function<bool(const ctrl::PacketInEvent&)> handler) {
-  using Response = ctrl::ApiResponse<ctrl::SubscriptionId>;
   // Interception is a stronger privilege than observation: the subscribe
   // call carries CallbackOp::kIntercept, which the EVENT_INTERCEPTION
   // callback filter must admit.
-  ctrl::ApiResult checked =
-      viaDeputy<ctrl::ApiResult>(runtime_, app_, [this] {
-        perm::ApiCall call = perm::ApiCall::subscribe(
-            app_, perm::ApiCallType::kSubscribePacketIn,
-            perm::CallbackOp::kIntercept);
-        engine::Decision decision = runtime_.engine().check(call);
-        runtime_.controller().audit().record(call, decision.allowed,
-                                             decision.reason);
-        if (!decision.allowed) return denied(decision);
-        return ctrl::ApiResult::success();
-      });
-  if (!checked.ok()) return Response::failure(checked.error());
-  ShieldRuntime& runtime = runtime_;
-  of::AppId app = app_;
-  auto recent = recent_;
-  // Interception is inherently synchronous (the consume/forward decision
-  // gates delivery to other apps), so the handler runs on the dispatch
-  // thread — under the app's ambient identity, so host calls made from it
-  // are still attributed and mediated correctly.
-  ctrl::SubscriptionId id = runtime_.controller().addPacketInInterceptor(
-      app_, [&runtime, app, recent,
-             handler = std::move(handler)](const ctrl::Event& event) {
-        const auto* typed = std::get_if<ctrl::PacketInEvent>(&event);
-        if (typed == nullptr) return false;
-        ctrl::PacketInEvent delivered = *typed;
-        auto compiled = runtime.engine().compiled(app);
-        if (!compiled || !compiled->hasToken(perm::Token::kReadPayload)) {
-          delivered.packetIn.packet.payload.clear();
-        }
-        recent->remember(delivered.packetIn.packet);
-        ScopedIdentity identity(app);
-        return handler(delivered);
-      });
-  return Response::success(id);
+  return subscribe<ctrl::PacketInEvent>(
+      perm::ApiCall::subscribe(app_, perm::ApiCallType::kSubscribePacketIn,
+                               perm::CallbackOp::kIntercept),
+      std::move(handler), stripPayload(runtime_, app_, recent_),
+      &ctrl::Controller::addPacketInInterceptor);
 }
 
 ctrl::ApiResponse<ctrl::SubscriptionId> ShieldedContext::subscribeFlowEvents(
     std::function<void(const ctrl::FlowEvent&)> handler) {
-  using Response = ctrl::ApiResponse<ctrl::SubscriptionId>;
-  ctrl::ApiResult checked = checkSubscribe(
-      runtime_, app_, perm::ApiCallType::kSubscribeFlowEvent);
-  if (!checked.ok()) return Response::failure(checked.error());
-  ShieldRuntime& runtime = runtime_;
-  of::AppId app = app_;
-  auto container = container_;
-  ctrl::SubscriptionId id = runtime_.controller().addFlowSubscriber(
-      app_, [&runtime, app, container,
-             handler = std::move(handler)](const ctrl::Event& event) {
-        const auto* typed = std::get_if<ctrl::FlowEvent>(&event);
-        if (typed == nullptr) return;
-        // Per-event filtering: a flow_event grant with e.g. OWN_FLOWS or a
-        // predicate filter only sees matching notifications.
-        auto compiled = runtime.engine().compiled(app);
-        if (compiled) {
-          perm::ApiCall eventCall = perm::ApiCall::subscribe(
-              app, perm::ApiCallType::kSubscribeFlowEvent);
-          eventCall.dpid = typed->dpid;
-          eventCall.match = typed->match;
-          eventCall.priority = typed->priority;
-          eventCall.ownFlow = typed->issuer == app;
-          if (!compiled->check(eventCall).allowed) return;
-        }
-        ctrl::FlowEvent delivered = *typed;
-        if (!container->tryPost([handler, delivered] { handler(delivered); })) {
-          runtime.supervisor().recordEventDrop(app);
-        }
-      });
-  return Response::success(id);
+  return subscribe<ctrl::FlowEvent>(
+      perm::ApiCall::subscribe(app_, perm::ApiCallType::kSubscribeFlowEvent),
+      std::move(handler),
+      [&runtime = runtime_, app = app_](const ctrl::FlowEvent& event) {
+        perm::ApiCall eventCall = perm::ApiCall::subscribe(
+            app, perm::ApiCallType::kSubscribeFlowEvent);
+        eventCall.dpid = event.dpid;
+        eventCall.match = event.match;
+        eventCall.priority = event.priority;
+        eventCall.ownFlow = event.issuer == app;
+        return eventAdmitted(runtime, eventCall);
+      },
+      &ctrl::Controller::addFlowSubscriber);
 }
 
 ctrl::ApiResponse<ctrl::SubscriptionId>
 ShieldedContext::subscribeTopologyEvents(
     std::function<void(const ctrl::TopologyEvent&)> handler) {
-  using Response = ctrl::ApiResponse<ctrl::SubscriptionId>;
-  ctrl::ApiResult checked = checkSubscribe(
-      runtime_, app_, perm::ApiCallType::kSubscribeTopologyEvent);
-  if (!checked.ok()) return Response::failure(checked.error());
-  ShieldRuntime& runtime = runtime_;
-  of::AppId app = app_;
-  auto container = container_;
-  ctrl::SubscriptionId id = runtime_.controller().addTopologySubscriber(
-      app_, [&runtime, app, container,
-             handler = std::move(handler)](const ctrl::Event& event) {
-        const auto* typed = std::get_if<ctrl::TopologyEvent>(&event);
-        if (typed == nullptr) return;
-        auto compiled = runtime.engine().compiled(app);
-        if (compiled) {
-          perm::ApiCall eventCall = perm::ApiCall::subscribe(
-              app, perm::ApiCallType::kSubscribeTopologyEvent);
-          eventCall.topoSwitches.push_back(typed->dpidA);
-          if (typed->change == ctrl::TopologyChange::kLinkUp ||
-              typed->change == ctrl::TopologyChange::kLinkDown) {
-            eventCall.topoSwitches.push_back(typed->dpidB);
-            eventCall.topoLinks.emplace_back(typed->dpidA, typed->dpidB);
-          }
-          if (!compiled->check(eventCall).allowed) return;
+  return subscribe<ctrl::TopologyEvent>(
+      perm::ApiCall::subscribe(app_,
+                               perm::ApiCallType::kSubscribeTopologyEvent),
+      std::move(handler),
+      [&runtime = runtime_, app = app_](const ctrl::TopologyEvent& event) {
+        perm::ApiCall eventCall = perm::ApiCall::subscribe(
+            app, perm::ApiCallType::kSubscribeTopologyEvent);
+        eventCall.topoSwitches.push_back(event.dpidA);
+        if (event.change == ctrl::TopologyChange::kLinkUp ||
+            event.change == ctrl::TopologyChange::kLinkDown) {
+          eventCall.topoSwitches.push_back(event.dpidB);
+          eventCall.topoLinks.emplace_back(event.dpidA, event.dpidB);
         }
-        ctrl::TopologyEvent delivered = *typed;
-        if (!container->tryPost([handler, delivered] { handler(delivered); })) {
-          runtime.supervisor().recordEventDrop(app);
-        }
-      });
-  return Response::success(id);
+        return eventAdmitted(runtime, eventCall);
+      },
+      &ctrl::Controller::addTopologySubscriber);
 }
 
 ctrl::ApiResponse<ctrl::SubscriptionId> ShieldedContext::subscribeErrorEvents(
     std::function<void(const ctrl::ErrorEvent&)> handler) {
-  using Response = ctrl::ApiResponse<ctrl::SubscriptionId>;
-  ctrl::ApiResult checked = checkSubscribe(
-      runtime_, app_, perm::ApiCallType::kSubscribeErrorEvent);
-  if (!checked.ok()) return Response::failure(checked.error());
-  ShieldRuntime& runtime = runtime_;
-  of::AppId app = app_;
-  auto container = container_;
-  ctrl::SubscriptionId id = runtime_.controller().addErrorSubscriber(
-      app_, [&runtime, app, container,
-             handler = std::move(handler)](const ctrl::Event& event) {
-        const auto* typed = std::get_if<ctrl::ErrorEvent>(&event);
-        if (typed == nullptr) return;
-        ctrl::ErrorEvent delivered = *typed;
-        if (!container->tryPost([handler, delivered] { handler(delivered); })) {
-          runtime.supervisor().recordEventDrop(app);
-        }
-      });
-  return Response::success(id);
+  return subscribe<ctrl::ErrorEvent>(
+      perm::ApiCall::subscribe(app_, perm::ApiCallType::kSubscribeErrorEvent),
+      std::move(handler), kAdmitAll, &ctrl::Controller::addErrorSubscriber);
 }
 
 ctrl::ApiResponse<ctrl::SubscriptionId> ShieldedContext::subscribeData(
     const std::string& topic,
     std::function<void(const ctrl::DataUpdateEvent&)> handler) {
-  using Response = ctrl::ApiResponse<ctrl::SubscriptionId>;
   // Data-model event notification is mediated under topology_event (the
   // published data is network-view data; see publishData).
-  ctrl::ApiResult checked = checkSubscribe(
-      runtime_, app_, perm::ApiCallType::kSubscribeTopologyEvent);
-  if (!checked.ok()) return Response::failure(checked.error());
-  ShieldRuntime& runtime = runtime_;
-  of::AppId app = app_;
-  auto container = container_;
-  ctrl::SubscriptionId id = runtime_.controller().addDataSubscriber(
-      app_, topic,
-      [&runtime, app, container,
-       handler = std::move(handler)](const ctrl::Event& event) {
-        const auto* typed = std::get_if<ctrl::DataUpdateEvent>(&event);
-        if (typed == nullptr) return;
-        ctrl::DataUpdateEvent delivered = *typed;
-        if (!container->tryPost([handler, delivered] { handler(delivered); })) {
-          runtime.supervisor().recordEventDrop(app);
-        }
+  return subscribe<ctrl::DataUpdateEvent>(
+      perm::ApiCall::subscribe(app_,
+                               perm::ApiCallType::kSubscribeTopologyEvent),
+      std::move(handler), kAdmitAll,
+      [&topic](ctrl::Controller& controller, of::AppId app,
+               ctrl::Controller::EventSink sink) {
+        return controller.addDataSubscriber(app, topic, std::move(sink));
       });
-  return Response::success(id);
 }
 
 ctrl::ApiResult ShieldedContext::unsubscribe(ctrl::SubscriptionId id) {
@@ -931,7 +730,7 @@ ShieldRuntime::ShieldRuntime(ctrl::Controller& controller,
                              ShieldOptions options)
     : controller_(controller),
       options_(options),
-      ksd_(options.ksdThreads, options.ksdCallTimeout, options.ksdBatchMax),
+      ksd_(options.ksdThreads, options.ksdCallTimeout),
       supervisor_(options.supervisor),
       monitor_(host_, &engine_, &controller.audit()) {
   supervisor_.setQuarantineHook(
@@ -959,8 +758,7 @@ of::AppId ShieldRuntime::loadAppImpl(std::optional<of::AppId> requestedId,
                                      std::shared_ptr<ctrl::App> app,
                                      const perm::PermissionSet& granted) {
   of::AppId id;
-  std::shared_ptr<ThreadContainer> container;
-  std::shared_ptr<ShieldedContext> context;
+  LoadedApp loaded;
   {
     std::lock_guard lock(mutex_);
     if (requestedId) {
@@ -976,29 +774,40 @@ of::AppId ShieldRuntime::loadAppImpl(std::optional<of::AppId> requestedId,
       id = nextAppId_++;
     }
     engine_.install(id, granted);
-    container = std::make_shared<ThreadContainer>(id, app->name(),
-                                                  options_.appQueueCapacity);
-    // Contained faults are audited and feed the supervisor's health state.
-    container->setFaultHandler(
-        [this, id](std::exception_ptr, const std::string& what) {
-          controller_.audit().recordFault(id, what);
-          supervisor_.recordFault(id, what);
-        });
-    container->start();
-    context = std::make_shared<ShieldedContext>(*this, id, container);
-    apps_[id] = LoadedApp{app, container, context};
+    loaded = startContainer(id, std::move(app));
+    apps_[id] = loaded;
   }
-  supervisor_.watch(id, container);
+  initSandboxed(id, loaded);
+  return id;
+}
+
+ShieldRuntime::LoadedApp ShieldRuntime::startContainer(
+    of::AppId id, std::shared_ptr<ctrl::App> app) {
+  auto container = std::make_shared<ThreadContainer>(
+      id, app->name(), options_.appQueueCapacity);
+  // Contained faults are audited and feed the supervisor's health state.
+  container->setFaultHandler(
+      [this, id](std::exception_ptr, const std::string& what) {
+        controller_.audit().recordFault(id, what);
+        supervisor_.recordFault(id, what);
+      });
+  container->start();
+  auto context = std::make_shared<ShieldedContext>(*this, id, container);
+  return LoadedApp{std::move(app), std::move(container), std::move(context)};
+}
+
+void ShieldRuntime::initSandboxed(of::AppId id, const LoadedApp& loaded) {
+  supervisor_.watch(id, loaded.container);
   // App initiation code runs inside the sandbox (paper §VIII-B). A
   // throwing init is contained: the app stays loaded but flagged faulty.
   try {
-    container->postAndWait([app, context] { app->init(*context); });
+    loaded.container->postAndWait(
+        [app = loaded.app, context = loaded.context] { app->init(*context); });
   } catch (...) {
     std::string what = describeException(std::current_exception());
     controller_.audit().recordFault(id, "init threw: " + what);
     supervisor_.recordFault(id, "init threw: " + what);
   }
-  return id;
 }
 
 std::string ShieldRuntime::LoadReport::toString() const {
@@ -1046,10 +855,9 @@ void ShieldRuntime::unloadApp(of::AppId app) {
   LoadedApp loaded;
   {
     std::lock_guard lock(mutex_);
-    auto it = apps_.find(app);
-    if (it == apps_.end()) return;
-    loaded = std::move(it->second);
-    apps_.erase(it);
+    auto node = apps_.extract(app);
+    if (node.empty()) return;
+    loaded = std::move(node.mapped());
     // Drop the async-window registry entry: in-flight futures keep the
     // window itself alive through their RAII slot guards, so only the map
     // slot (the would-be leak across install/uninstall cycles) goes away.
@@ -1066,17 +874,15 @@ void ShieldRuntime::unloadApp(of::AppId app) {
 void ShieldRuntime::swapApp(of::AppId id, std::shared_ptr<ctrl::App> next,
                             const perm::PermissionSet& granted) {
   LoadedApp old;
-  std::shared_ptr<ThreadContainer> container;
-  std::shared_ptr<ShieldedContext> context;
+  LoadedApp loaded;
   {
     std::lock_guard lock(mutex_);
-    auto it = apps_.find(id);
-    if (it == apps_.end()) {
+    auto node = apps_.extract(id);
+    if (node.empty()) {
       throw std::invalid_argument("swapApp: unknown app id " +
                                   std::to_string(id));
     }
-    old = std::move(it->second);
-    apps_.erase(it);
+    old = std::move(node.mapped());
   }
   // Retire the old instance first (host-level call: stop() joins the
   // container thread, so swapApp must never run on a deputy). Its grant
@@ -1091,26 +897,11 @@ void ShieldRuntime::swapApp(of::AppId id, std::shared_ptr<ctrl::App> next,
     // new one: a concurrent check() sees either v(old) or v(next), never a
     // permission gap.
     engine_.install(id, granted);
-    container = std::make_shared<ThreadContainer>(id, next->name(),
-                                                  options_.appQueueCapacity);
-    container->setFaultHandler(
-        [this, id](std::exception_ptr, const std::string& what) {
-          controller_.audit().recordFault(id, what);
-          supervisor_.recordFault(id, what);
-        });
-    container->start();
-    context = std::make_shared<ShieldedContext>(*this, id, container);
-    apps_[id] = LoadedApp{next, container, context};
+    loaded = startContainer(id, std::move(next));
+    apps_[id] = loaded;
     retired_.push_back(std::move(old));
   }
-  supervisor_.watch(id, container);
-  try {
-    container->postAndWait([next, context] { next->init(*context); });
-  } catch (...) {
-    std::string what = describeException(std::current_exception());
-    controller_.audit().recordFault(id, "init threw: " + what);
-    supervisor_.recordFault(id, "init threw: " + what);
-  }
+  initSandboxed(id, loaded);
 }
 
 void ShieldRuntime::reclaimRetired() {
@@ -1168,23 +959,13 @@ void ShieldRuntime::quarantineApp(of::AppId app, const std::string& reason) {
 void ShieldRuntime::shutdown() {
   // Stop the watchdog first so no quarantine races the teardown.
   supervisor_.stop();
-  std::map<of::AppId, LoadedApp> apps;
+  std::vector<of::AppId> loaded;
   {
     std::lock_guard lock(mutex_);
-    apps.swap(apps_);
+    for (const auto& entry : apps_) loaded.push_back(entry.first);
   }
-  for (auto& [id, loaded] : apps) {
-    supervisor_.forget(id);
-    controller_.removeSubscribers(id);
-    loaded.container->stop();
-    engine_.uninstall(id);
-  }
+  for (of::AppId id : loaded) unloadApp(id);
   ksd_.stop();
-  std::lock_guard lock(mutex_);
-  for (auto& [id, loaded] : apps) {
-    windows_.erase(id);
-    retired_.push_back(std::move(loaded));
-  }
 }
 
 std::shared_ptr<ThreadContainer> ShieldRuntime::container(
@@ -1209,16 +990,22 @@ bool ShieldRuntime::isQuarantined(of::AppId app) const {
   return appContainer != nullptr && appContainer->quarantined();
 }
 
-std::optional<net::VirtualTopology> ShieldRuntime::virtualTopologyFor(
+ctrl::ApiResponse<net::VirtualTopology> ShieldRuntime::virtualTopologyFor(
     of::AppId app) const {
+  using Response = ctrl::ApiResponse<net::VirtualTopology>;
   auto compiled = engine_.compiled(app);
-  if (!compiled || !compiled->virtualTopology()) return std::nullopt;
+  if (!compiled || !compiled->virtualTopology()) {
+    return Response::failure(ctrl::ApiErrc::kPermissionDenied,
+                             "no virtual topology granted");
+  }
   net::Topology physical = controller_.kernelReadTopology();
   const std::set<of::DatapathId>& members = *compiled->virtualTopology();
   if (members.empty()) {
-    return net::VirtualTopology::singleBigSwitch(physical, kVirtualDpid);
+    return Response::success(
+        net::VirtualTopology::singleBigSwitch(physical, kVirtualDpid));
   }
-  return net::VirtualTopology::bigSwitch(physical, members, kVirtualDpid);
+  return Response::success(
+      net::VirtualTopology::bigSwitch(physical, members, kVirtualDpid));
 }
 
 // --- BaselineRuntime -------------------------------------------------------------

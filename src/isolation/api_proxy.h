@@ -18,6 +18,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -92,16 +93,16 @@ class ShieldedApi final : public ctrl::NorthboundApi {
   ctrl::ApiResponse<std::string> marketReport() override;
 
  private:
-  friend class ShieldRuntime;
-
-  /// Deputy-side bodies (run with kernel privilege on a KSD thread).
-  ctrl::ApiResult doInsertFlow(of::DatapathId dpid, const of::FlowMod& mod);
-  /// Batched deputy body: the permission context (compiled program, base
-  /// rule count) is resolved once for the whole batch, then admitted mods
-  /// go to the kernel as one vectorized insert.
+  /// Deputy-side bodies (run with kernel privilege on a KSD thread). Every
+  /// insert — single, batched or async — takes doInsertFlows.
   ctrl::ApiResult doInsertFlows(of::DatapathId dpid,
-                                const std::vector<of::FlowMod>& mods);
+                                std::span<const of::FlowMod> mods);
   ctrl::ApiResult doSendPacketOut(const of::PacketOut& packetOut);
+
+  /// A flow-mod addressed to the virtual big switch, as physical ones.
+  ctrl::ApiResponse<std::vector<std::pair<of::DatapathId, of::FlowMod>>>
+  translateVirtual(const of::FlowMod& mod) const;
+  ctrl::ApiResult insertVirtual(const of::FlowMod& mod);
 
   ShieldRuntime& runtime_;
   of::AppId app_;
@@ -133,6 +134,17 @@ class ShieldedContext final : public ctrl::AppContext {
   ctrl::ApiResult unsubscribe(ctrl::SubscriptionId id) override;
 
  private:
+  /// The one subscription path: gate-checks @p gate on a deputy, then
+  /// registers (via the Controller method @p add) a sink that narrows each
+  /// event to E, lets @p admit filter or strip it (false drops it) and
+  /// posts @p handler to the app's container — a full queue counts an
+  /// event drop. A bool-returning interceptor runs synchronously instead.
+  template <typename E, typename Handler, typename Admit, typename Register>
+  ctrl::ApiResponse<ctrl::SubscriptionId> subscribe(perm::ApiCall gate,
+                                                    Handler handler,
+                                                    Admit admit,
+                                                    Register add);
+
   ShieldRuntime& runtime_;
   of::AppId app_;
   std::shared_ptr<ThreadContainer> container_;
@@ -151,8 +163,6 @@ struct ShieldOptions {
   /// northbound calls); the next submission past the window blocks up to
   /// ksdCallTimeout, then fails with kQueueFull.
   std::size_t asyncWindow = 32;
-  /// Max queued requests a deputy drains per wakeup (KsdPool batching).
-  std::size_t ksdBatchMax = KsdPool::kDefaultBatchMax;
   /// Starts the supervision watchdog (health states + hang detection).
   bool supervise = true;
   SupervisorOptions supervisor;
@@ -248,9 +258,11 @@ class ShieldRuntime {
   /// True once the app's container was sealed by quarantineApp.
   bool isQuarantined(of::AppId app) const;
 
-  /// Builds the virtual big switch for an app whose visible_topology grant
-  /// carries a VIRTUAL filter (nullopt otherwise).
-  std::optional<net::VirtualTopology> virtualTopologyFor(of::AppId app) const;
+  /// The virtual big switch (§VI-B.1) of an app whose visible_topology
+  /// grant carries a VIRTUAL filter; kPermissionDenied otherwise. The one
+  /// resolver every virtual-dpid call goes through.
+  ctrl::ApiResponse<net::VirtualTopology> virtualTopologyFor(
+      of::AppId app) const;
 
  private:
   struct LoadedApp {
@@ -262,6 +274,13 @@ class ShieldRuntime {
   of::AppId loadAppImpl(std::optional<of::AppId> requestedId,
                         std::shared_ptr<ctrl::App> app,
                         const perm::PermissionSet& granted);
+  /// The one container start (load and swap), under mutex_: a started
+  /// container whose faults are audited and reported to the supervisor,
+  /// and the app's shielded context.
+  LoadedApp startContainer(of::AppId id, std::shared_ptr<ctrl::App> app);
+  /// Outside mutex_: puts the container under watch and runs the app's
+  /// init inside the sandbox, containing a throwing init.
+  void initSandboxed(of::AppId id, const LoadedApp& loaded);
 
   ctrl::Controller& controller_;
   ShieldOptions options_;

@@ -172,16 +172,16 @@ void KsdPool::run() {
   // Deputies are trusted kernel threads: full privilege.
   ScopedIdentity identity(of::kKernelAppId);
   std::vector<std::function<void()>> batch;
-  batch.reserve(batchMax_);
+  batch.reserve(kBatchMax);
   while (auto work = queue_.pop()) {
     // Batch draining: after the blocking pop, opportunistically pull up to
-    // batchMax_ - 1 more queued requests so the whole burst is served under
+    // kBatchMax - 1 more queued requests so the whole burst is served under
     // one wakeup, one span and one queue-depth update. The app-side
     // permission context is resolved inside each task against the caller's
     // identity captured at submit time, so coalescing is safe.
     batch.clear();
     batch.push_back(std::move(*work));
-    while (batch.size() < batchMax_) {
+    while (batch.size() < kBatchMax) {
       auto more = queue_.tryPop();
       if (!more) break;
       batch.push_back(std::move(*more));

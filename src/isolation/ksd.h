@@ -19,6 +19,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -122,14 +123,11 @@ class KsdPool {
   static constexpr std::chrono::milliseconds kDefaultCallTimeout{10000};
   /// Max queued requests a deputy drains per wakeup (one obs span, one
   /// queue-depth update per batch).
-  static constexpr std::size_t kDefaultBatchMax = 16;
+  static constexpr std::size_t kBatchMax = 16;
 
   explicit KsdPool(std::size_t threads = 2,
-                   std::chrono::milliseconds callTimeout = kDefaultCallTimeout,
-                   std::size_t batchMax = kDefaultBatchMax)
-      : threadCount_(threads),
-        callTimeout_(callTimeout),
-        batchMax_(batchMax == 0 ? 1 : batchMax) {}
+                   std::chrono::milliseconds callTimeout = kDefaultCallTimeout)
+      : threadCount_(threads), callTimeout_(callTimeout) {}
   ~KsdPool() { stop(); }
 
   KsdPool(const KsdPool&) = delete;
@@ -174,33 +172,28 @@ class KsdPool {
     return future;
   }
 
-  /// Enqueues work and blocks the calling (app) thread for the result —
-  /// the synchronous API-call shape apps see through the wrappers. Throws
-  /// DeadlineExceeded when the deputy misses @p timeout, PoolStopped /
-  /// QueueSaturated when the submission fails, and CallDropped when the
-  /// deputy discarded the queued call.
+  /// The one wait on a deputy's result, shared by call() and the async
+  /// ApiFuture: on a virtualized pool the caller parks as a scheduler step
+  /// (labelled @p what) instead of burning the wall clock; otherwise it
+  /// waits until @p deadline. Throws DeadlineExceeded on a miss, CallDropped
+  /// when the deputy discarded the call (broken promise), and rethrows the
+  /// work's own exception. @p startNs (submission time) feeds ksd.call_ns.
   template <typename R>
-  R call(std::function<R()> work, std::chrono::milliseconds timeout) {
-    OBS_SPAN("ksd.call");
-    std::int64_t startNs = obs::Tracer::nowNs();
-    std::future<R> future = submitFuture<R>(std::move(work));
+  R await(std::future<R>& future,
+          std::chrono::steady_clock::time_point deadline, std::int64_t startNs,
+          std::string_view what) {
+    auto done = [&future] {
+      return future.wait_for(std::chrono::seconds(0)) ==
+             std::future_status::ready;
+    };
     bool ready;
     if (virtualized_) {
-      // Model-checking mode: the deputy step runs when the virtual
-      // scheduler picks it; await() parks this (scenario) thread instead
-      // of burning the wall-clock deadline.
       if (VirtualExecutor* executor = virtualExecutor()) {
-        executor->await(
-            [&future] {
-              return future.wait_for(std::chrono::seconds(0)) ==
-                     std::future_status::ready;
-            },
-            "ksd.call");
+        executor->await(done, what);
       }
-      ready = future.wait_for(std::chrono::seconds(0)) ==
-              std::future_status::ready;
+      ready = done();
     } else {
-      ready = future.wait_for(timeout) == std::future_status::ready;
+      ready = future.wait_until(deadline) == std::future_status::ready;
     }
     if (!ready) {
       recordKsdDeadlineMiss();
@@ -212,6 +205,20 @@ class KsdPool {
     } catch (const std::future_error&) {
       throw CallDropped("KSD deputy dropped the call");
     }
+  }
+
+  /// Enqueues work and blocks the calling (app) thread for the result —
+  /// the synchronous API-call shape apps see through the wrappers. Throws
+  /// DeadlineExceeded when the deputy misses @p timeout, PoolStopped /
+  /// QueueSaturated when the submission fails, and CallDropped when the
+  /// deputy discarded the queued call.
+  template <typename R>
+  R call(std::function<R()> work, std::chrono::milliseconds timeout) {
+    OBS_SPAN("ksd.call");
+    std::int64_t startNs = obs::Tracer::nowNs();
+    auto deadline = std::chrono::steady_clock::now() + timeout;
+    std::future<R> future = submitFuture<R>(std::move(work));
+    return await(future, deadline, startNs, "ksd.call");
   }
 
   template <typename R>
@@ -234,7 +241,6 @@ class KsdPool {
 
   std::size_t threadCount() const { return threadCount_; }
   std::chrono::milliseconds callTimeout() const { return callTimeout_; }
-  std::size_t batchMax() const { return batchMax_; }
   std::uint64_t processedCount() const { return processed_.load(); }
   /// Deputy tasks that threw (contained, not fatal).
   std::uint64_t faultCount() const { return faults_.load(); }
@@ -248,7 +254,6 @@ class KsdPool {
 
   std::size_t threadCount_;
   std::chrono::milliseconds callTimeout_;
-  std::size_t batchMax_;
   BoundedMpmcQueue<std::function<void()>> queue_{65536};
   std::vector<std::thread> threads_;
   std::atomic<std::uint64_t> processed_{0};

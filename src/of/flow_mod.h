@@ -33,6 +33,17 @@ struct FlowMod {
   std::uint32_t idleTimeout = 0;
   std::uint32_t hardTimeout = 0;
 
+  /// True for kModify/kModifyStrict: rewrites existing entries, adds none.
+  bool isModify() const {
+    return command == FlowModCommand::kModify ||
+           command == FlowModCommand::kModifyStrict;
+  }
+  bool addsRule() const { return command == FlowModCommand::kAdd; }
+  bool isDelete() const {
+    return command == FlowModCommand::kDelete ||
+           command == FlowModCommand::kDeleteStrict;
+  }
+
   friend bool operator==(const FlowMod&, const FlowMod&) = default;
   std::string toString() const;
 };

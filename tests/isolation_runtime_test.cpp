@@ -395,6 +395,193 @@ TEST_F(ShieldRuntimeTest, TransactionsRollBackOnDenial) {
   EXPECT_EQ(network_.switchAt(2)->flowCount(), 1u);
 }
 
+TEST_F(ShieldRuntimeTest, TransactionalModifyCannotRewriteForeignRule) {
+  auto owner = std::make_shared<TestApp>("owner");
+  of::AppId ownerId = load(owner, "PERM insert_flow\n");
+  auto attacker = std::make_shared<TestApp>("attacker");
+  load(attacker, "PERM insert_flow LIMITING OWN_FLOWS\n");
+  of::FlowMod victim = modTo("10.0.0.5", 100);
+  ASSERT_TRUE(owner->context().api().insertFlow(1, victim).ok());
+
+  // An all-wildcard modify at priority 0 touches every rule on the switch,
+  // the owner's priority-100 rule included.
+  of::FlowMod rewrite;
+  rewrite.command = of::FlowModCommand::kModify;
+  rewrite.priority = 0;
+  rewrite.actions.push_back(of::OutputAction{7});
+  ctrl::ApiResult committed =
+      attacker->context().api().commitFlowTransaction({{1, rewrite}});
+  ASSERT_FALSE(committed.ok());
+  EXPECT_EQ(committed.code(), ctrl::ApiErrc::kTransactionAborted);
+  // The transactional and the direct path reach the same verdict.
+  ctrl::ApiResult direct = attacker->context().api().insertFlow(1, rewrite);
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(direct.code(), ctrl::ApiErrc::kPermissionDenied);
+
+  auto entries = network_.switchAt(1)->dumpFlows();
+  ASSERT_TRUE(entries.ok());
+  ASSERT_EQ(entries.value().size(), 1u);
+  const of::FlowEntry& entry = entries.value()[0];
+  ASSERT_EQ(entry.actions.size(), 1u);
+  const auto* output = std::get_if<of::OutputAction>(&entry.actions[0]);
+  ASSERT_NE(output, nullptr);
+  EXPECT_EQ(output->port, 1u);
+  EXPECT_EQ(entry.cookie, ownerId);
+  EXPECT_EQ(controller_.ownership().ownerOf(1, victim.match, 100), ownerId);
+}
+
+TEST_F(ShieldRuntimeTest, TransactionalModifyIsNotCountedTowardRuleLimit) {
+  auto app = std::make_shared<TestApp>();
+  load(app, "PERM insert_flow LIMITING MAX_RULE_COUNT 2\n");
+  ASSERT_TRUE(app->context().api().insertFlow(1, modTo("10.0.0.1")).ok());
+  ASSERT_TRUE(app->context().api().insertFlow(1, modTo("10.0.0.2")).ok());
+
+  // At the limit: another add is refused, a modify of an own rule is not.
+  EXPECT_FALSE(app->context()
+                   .api()
+                   .commitFlowTransaction({{1, modTo("10.0.0.3")}})
+                   .ok());
+  of::FlowMod rewrite = modTo("10.0.0.1");
+  rewrite.command = of::FlowModCommand::kModifyStrict;
+  rewrite.actions = {of::OutputAction{3}};
+  EXPECT_TRUE(app->context().api().commitFlowTransaction({{1, rewrite}}).ok());
+  EXPECT_EQ(network_.switchAt(1)->flowCount(), 2u);
+}
+
+TEST_F(ShieldRuntimeTest, TopologyEventsFilteredBySwitchGrant) {
+  auto app = std::make_shared<TestApp>();
+  load(app, "PERM topology_event LIMITING SWITCH {1,2} LINK {(1,2)}\n");
+  std::mutex mutex;
+  std::vector<ctrl::TopologyEvent> seen;
+  ASSERT_TRUE(app->context()
+                  .subscribeTopologyEvents([&](const ctrl::TopologyEvent& e) {
+                    std::lock_guard lock(mutex);
+                    seen.push_back(e);
+                  })
+                  .ok());
+  controller_.addLink(1, 10, 2, 10);  // Inside the granted slice.
+  controller_.addLink(2, 11, 3, 11);  // Touches switch 3: filtered out.
+  shield_.container(app->context().appId())->postAndWait([] {});
+  std::lock_guard lock(mutex);
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].change, ctrl::TopologyChange::kLinkUp);
+  EXPECT_EQ(seen[0].dpidA, 1u);
+  EXPECT_EQ(seen[0].dpidB, 2u);
+}
+
+TEST_F(ShieldRuntimeTest, ErrorEventsDeliveredOnAppContainer) {
+  auto app = std::make_shared<TestApp>();
+  of::AppId id = load(app, "PERM error_event\n");
+  std::thread::id containerThread;
+  shield_.container(id)->postAndWait(
+      [&] { containerThread = std::this_thread::get_id(); });
+  std::mutex mutex;
+  std::vector<std::pair<std::thread::id, of::AppId>> deliveries;
+  ASSERT_TRUE(app->context()
+                  .subscribeErrorEvents([&](const ctrl::ErrorEvent&) {
+                    std::lock_guard lock(mutex);
+                    deliveries.emplace_back(std::this_thread::get_id(),
+                                            currentAppId());
+                  })
+                  .ok());
+  controller_.onSwitchError(of::ErrorMsg{1, of::ErrorType::kTableFull, "a"});
+  controller_.onSwitchError(of::ErrorMsg{2, of::ErrorType::kBadMatch, "b"});
+  shield_.container(id)->postAndWait([] {});
+  std::lock_guard lock(mutex);
+  ASSERT_EQ(deliveries.size(), 2u);
+  for (const auto& [thread, identity] : deliveries) {
+    EXPECT_EQ(thread, containerThread);
+    EXPECT_EQ(identity, id);
+  }
+}
+
+TEST_F(ShieldRuntimeTest, DataSubscriptionGatedByTopologyEventAndTopic) {
+  auto publisher = std::make_shared<TestApp>("pub");
+  load(publisher, "PERM modify_topology\n");
+  auto reader = std::make_shared<TestApp>("reader");
+  of::AppId readerId = load(reader, "PERM topology_event\n");
+  auto outsider = std::make_shared<TestApp>("outsider");
+  load(outsider, "PERM flow_event\n");
+
+  ctrl::ApiResponse<ctrl::SubscriptionId> refused =
+      outsider->context().subscribeData("cost",
+                                        [](const ctrl::DataUpdateEvent&) {});
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.code(), ctrl::ApiErrc::kPermissionDenied);
+
+  std::mutex mutex;
+  std::vector<std::string> payloads;
+  ASSERT_TRUE(reader->context()
+                  .subscribeData("cost",
+                                 [&](const ctrl::DataUpdateEvent& event) {
+                                   std::lock_guard lock(mutex);
+                                   payloads.push_back(event.payload);
+                                 })
+                  .ok());
+  ASSERT_TRUE(publisher->context().api().publishData("cost", "1").ok());
+  ASSERT_TRUE(publisher->context().api().publishData("other", "2").ok());
+  ASSERT_TRUE(publisher->context().api().publishData("cost", "3").ok());
+  shield_.container(readerId)->postAndWait([] {});
+  std::lock_guard lock(mutex);
+  EXPECT_EQ(payloads, (std::vector<std::string>{"1", "3"}));
+}
+
+TEST(ShieldRuntimeQueueTest, FullContainerQueueCountsEveryEventKindAsDrop) {
+  ctrl::Controller controller;
+  sim::SimNetwork network(controller);
+  network.buildLinear(2);
+  ShieldOptions options;
+  options.appQueueCapacity = 2;
+  options.supervisor.dropQuarantineThreshold = 1u << 30;  // Count only.
+  ShieldRuntime shield(controller, options);
+
+  auto app = std::make_shared<TestApp>();
+  of::AppId id = shield.loadApp(
+      app, parsePermissions("PERM pkt_in_event\nPERM flow_event\n"
+                            "PERM topology_event\nPERM error_event\n"));
+  ctrl::AppContext& context = app->context();
+  ASSERT_TRUE(
+      context.subscribePacketIn([](const ctrl::PacketInEvent&) {}).ok());
+  ASSERT_TRUE(context.subscribeFlowEvents([](const ctrl::FlowEvent&) {}).ok());
+  ASSERT_TRUE(
+      context.subscribeTopologyEvents([](const ctrl::TopologyEvent&) {}).ok());
+  ASSERT_TRUE(
+      context.subscribeErrorEvents([](const ctrl::ErrorEvent&) {}).ok());
+  ASSERT_TRUE(
+      context.subscribeData("t", [](const ctrl::DataUpdateEvent&) {}).ok());
+
+  // Park the app thread in a task, then fill its queue.
+  std::shared_ptr<ThreadContainer> container = shield.container(id);
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  ASSERT_TRUE(container->post([&started, released] {
+    started.set_value();
+    released.wait();
+  }));
+  started.get_future().wait();
+  while (container->tryPost([] {})) {
+  }
+  std::uint64_t drops = shield.supervisor().dropCount(id);
+
+  controller.onPacketIn(of::PacketIn{1, 1, of::PacketInReason::kNoMatch, 0,
+                                     of::Packet{}});
+  EXPECT_EQ(shield.supervisor().dropCount(id), ++drops);
+  ASSERT_TRUE(controller.kernelInsertFlow(of::kKernelAppId, 1,
+                                          modTo("10.0.0.1"))
+                  .ok());
+  EXPECT_EQ(shield.supervisor().dropCount(id), ++drops);
+  controller.addLink(1, 10, 2, 10);
+  EXPECT_EQ(shield.supervisor().dropCount(id), ++drops);
+  controller.onSwitchError(of::ErrorMsg{1, of::ErrorType::kTableFull, "x"});
+  EXPECT_EQ(shield.supervisor().dropCount(id), ++drops);
+  controller.kernelPublishData(of::kKernelAppId, "t", "x");
+  EXPECT_EQ(shield.supervisor().dropCount(id), ++drops);
+
+  release.set_value();
+  shield.shutdown();
+}
+
 TEST_F(ShieldRuntimeTest, PublishDataGatedByModifyTopology) {
   auto publisher = std::make_shared<TestApp>("pub");
   load(publisher, "PERM modify_topology\n");
