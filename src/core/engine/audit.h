@@ -3,10 +3,14 @@
 // calls the log carries fault records (contained app crashes/hangs) and
 // supervision records (health transitions, quarantines) so degraded-mode
 // behaviour is forensically reconstructible too.
+//
+// The log is written on every deputy call and read rarely, so it stores
+// structured fixed-size records and renders text only when read: an entry's
+// `summary` is produced by entries()/entriesFor(), never by record().
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -38,9 +42,18 @@ struct AuditEntry {
   std::string toString() const;
 };
 
+namespace detail {
+/// The ring's fixed-size record and its out-of-line part (audit.cpp).
+struct AuditSlot;
+struct AuditSpill;
+}  // namespace detail
+
 class AuditLog {
  public:
-  explicit AuditLog(std::size_t capacity = 65536) : capacity_(capacity) {}
+  explicit AuditLog(std::size_t capacity = 65536);
+  ~AuditLog();
+  AuditLog(const AuditLog&) = delete;
+  AuditLog& operator=(const AuditLog&) = delete;
 
   /// Ring-buffer retention: when the log holds @p capacity entries the next
   /// record evicts the oldest (counted in droppedCount() and the
@@ -74,16 +87,36 @@ class AuditLog {
   void clear();
 
  private:
-  void push(AuditEntry entry);
+  using Slot = detail::AuditSlot;
+
+  struct SpillDeleter {
+    void operator()(detail::AuditSpill* spill) const;
+  };
+  using SpillPtr = std::unique_ptr<detail::AuditSpill, SpillDeleter>;
+
+  void recordText(AuditKind kind, of::AppId app, std::string text,
+                  std::string spanTrail);
+  /// Appends @p slot (taking ownership of @p spill) under the lock.
+  void publish(Slot slot, SpillPtr spill);
+  /// Copies the retained slots (of @p app only, when @p filter) under the
+  /// lock, pinning their spills, and decodes them after releasing it.
+  std::vector<AuditEntry> collect(bool filter, of::AppId app) const;
+  Slot& slotAt(std::uint64_t sequence) const;
   void evictOverflowLocked();
+  /// Drops the ring's reference to every retained entry's spill.
+  void unpinRetainedLocked();
 
   mutable std::mutex mutex_;
   std::size_t capacity_;
   std::uint64_t nextSequence_ = 0;
   std::uint64_t denied_ = 0;
   std::uint64_t faults_ = 0;
+  /// Also the sequence number of the oldest retained entry.
   std::uint64_t dropped_ = 0;
-  std::deque<AuditEntry> ring_;
+  /// Fixed-size chunks of slots, allocated on first write and reused once
+  /// the ring wraps. Chunk c of the sequence space lives at
+  /// chunks_[c % chunks_.size()].
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
 };
 
 }  // namespace sdnshield::engine

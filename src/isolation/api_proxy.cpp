@@ -9,6 +9,7 @@
 #include "core/lang/perm_parser.h"
 #include "core/perm/normal_form.h"
 #include "isolation/executor.h"
+#include "obs/metrics.h"
 
 namespace sdnshield::iso {
 
@@ -20,6 +21,10 @@ std::string RecentPacketIns::bytesOf(const of::Packet& packet) {
 }
 
 void RecentPacketIns::remember(const of::Packet& packet) {
+  // An evicted packet can no longer be echoed as a FROM_PKT_IN packet-out,
+  // so overflow is counted where operators can see it.
+  static const obs::Counter evicted =
+      obs::Registry::global().counter("isolation.pktin_window.evicted");
   std::string bytes = bytesOf(packet);
   std::lock_guard lock(mutex_);
   packets_.insert(bytes);
@@ -27,6 +32,7 @@ void RecentPacketIns::remember(const of::Packet& packet) {
   if (order_.size() > capacity_) {
     packets_.erase(packets_.find(order_.front()));
     order_.pop_front();
+    evicted.increment();
   }
 }
 

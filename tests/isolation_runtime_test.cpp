@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/lang/perm_parser.h"
+#include "obs/metrics.h"
 #include "switchsim/sim_network.h"
 
 namespace sdnshield::iso {
@@ -352,6 +353,58 @@ TEST_F(ShieldRuntimeTest, PacketOutProvenanceIsEstablishedByDeputy) {
   forged.fromPacketIn = true;  // Lie.
   forged.actions.push_back(of::OutputAction{1});
   EXPECT_FALSE(app->context().api().sendPacketOut(forged).ok());
+}
+
+TEST_F(ShieldRuntimeTest, PacketInWindowOverflowEvictsOldestProvenance) {
+  // Overload: the app's handler is stuck on its first event while 1,025
+  // distinct packet-ins arrive. The deputy's FROM_PKT_IN window holds the
+  // last 1,024, so the first packet loses its provenance.
+  const obs::Counter evicted =
+      obs::Registry::global().counter("isolation.pktin_window.evicted");
+  const std::uint64_t evictedBefore = evicted.value();
+  auto app = std::make_shared<TestApp>();
+  of::AppId id = load(app,
+                      "PERM pkt_in_event\n"
+                      "PERM send_pkt_out LIMITING FROM_PKT_IN\n");
+  std::promise<void> blocked;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> first{true};
+  ASSERT_TRUE(app->context()
+                  .subscribePacketIn([&](const ctrl::PacketInEvent&) {
+                    if (first.exchange(false)) {
+                      blocked.set_value();
+                      released.wait();
+                    }
+                  })
+                  .ok());
+  auto probe = [](std::uint16_t n) {
+    return of::Packet::makeTcp(
+        of::MacAddress::fromUint64(1), of::MacAddress::fromUint64(2),
+        of::Ipv4Address(10, 0, 0, 1), of::Ipv4Address(10, 0, 0, 2), n, 80,
+        of::tcpflags::kSyn);
+  };
+  constexpr std::uint16_t kPackets = 1025;
+  for (std::uint16_t n = 0; n < kPackets; ++n) {
+    controller_.onPacketIn(
+        of::PacketIn{1, 1, of::PacketInReason::kNoMatch, 0, probe(n)});
+  }
+  blocked.get_future().wait();
+  release.set_value();
+  shield_.container(id)->postAndWait([] {});
+
+  auto echo = [&](std::uint16_t n) {
+    of::PacketOut out;
+    out.dpid = 1;
+    out.packet = probe(n);
+    out.actions.push_back(of::OutputAction{1});
+    return app->context().api().sendPacketOut(out);
+  };
+  ctrl::ApiResult oldest = echo(0);
+  EXPECT_FALSE(oldest.ok());
+  EXPECT_EQ(oldest.code(), ctrl::ApiErrc::kPermissionDenied);
+  EXPECT_TRUE(echo(kPackets - 1).ok());
+  EXPECT_EQ(evicted.value() - evictedBefore, 1u);
 }
 
 TEST_F(ShieldRuntimeTest, FlowEventsFilteredPerEvent) {
