@@ -15,7 +15,12 @@
 //                            thread-local decision memo, on a recurring-flow
 //                            trace (Hot, ~100% hit rate) and the Figure-5
 //                            mostly-distinct trace (Cold). Counters report
-//                            memo_hit_rate and ns_per_check.
+//                            memo_hit_rate and ns_per_check;
+//   * BM_EngineCheck_AppMix — the same path over 64 apps with the app
+//                            changing on every check (the last-app shortcut
+//                            never hits), on 1 and 4 threads sharing one
+//                            engine: the cost of app resolution alone, and
+//                            whether it contends.
 #include <benchmark/benchmark.h>
 
 #include "cbench/generator.h"
@@ -80,7 +85,7 @@ void BM_Fig5_ReadStatisticsCheck(benchmark::State& state) {
 BENCHMARK(BM_Fig5_InsertFlowCheck)->Arg(1)->Arg(5)->Arg(15);
 BENCHMARK(BM_Fig5_ReadStatisticsCheck)->Arg(1)->Arg(5)->Arg(15);
 
-/// Full mediator path (PermissionEngine::check): app-table snapshot load +
+/// Full mediator path (PermissionEngine::check): app-table pin lookup +
 /// decision memo + compiled program on miss. `hotFlows` bounds the number
 /// of distinct calls cycled; a small working set models recurring flows and
 /// keeps the memo hot, the full Figure-5 trace is the cold/adversarial
@@ -138,6 +143,62 @@ void BM_EngineCheck_MemoHot_ObsOff(benchmark::State& state) {
 BENCHMARK(BM_EngineCheck_MemoHot)->Arg(1)->Arg(5)->Arg(15);
 BENCHMARK(BM_EngineCheck_MemoCold)->Arg(1)->Arg(5)->Arg(15);
 BENCHMARK(BM_EngineCheck_MemoHot_ObsOff)->Arg(1)->Arg(5)->Arg(15);
+
+/// 64 apps, each with its own 5-token grant and 16 recurring calls, the
+/// calls interleaved so consecutive checks name different apps. Built once
+/// and shared by every benchmark thread.
+struct AppMix {
+  static constexpr std::size_t kApps = 64;
+  static constexpr std::size_t kCallsPerApp = 16;
+  PermissionEngine engine;
+  std::vector<ApiCall> trace;
+};
+
+const AppMix& appMix() {
+  static const AppMix* mix = [] {
+    auto* built = new AppMix;  // Never destroyed: threads share it.
+    std::vector<std::vector<ApiCall>> perApp;
+    for (std::size_t a = 0; a < AppMix::kApps; ++a) {
+      auto app = static_cast<sdnshield::of::AppId>(a + 1);
+      auto manifest = makeSyntheticManifest(
+          5, 1000 + a, sdnshield::perm::Token::kInsertFlow);
+      built->engine.install(app, manifest);
+      perApp.push_back(makeSyntheticTrace(manifest, AppMix::kCallsPerApp,
+                                          kViolationRatio, 7 + a));
+      for (ApiCall& call : perApp.back()) call.app = app;
+    }
+    for (std::size_t i = 0; i < AppMix::kCallsPerApp; ++i) {
+      for (const std::vector<ApiCall>& calls : perApp) {
+        built->trace.push_back(calls[i % calls.size()]);
+      }
+    }
+    return built;
+  }();
+  return *mix;
+}
+
+void BM_EngineCheck_AppMix(benchmark::State& state) {
+  const AppMix& mix = appMix();
+  const std::size_t size = mix.trace.size();
+  // Threads start at different offsets so they do not walk in lockstep.
+  std::size_t index =
+      static_cast<std::size_t>(state.thread_index()) * 97 % size;
+  std::uint64_t denied = 0;
+  for (auto _ : state) {
+    bool allowed = mix.engine.check(mix.trace[index]).allowed;
+    index = index + 1 == size ? 0 : index + 1;
+    if (!allowed) ++denied;
+    benchmark::DoNotOptimize(allowed);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["checks_per_sec"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+  state.counters["denied_ratio"] = benchmark::Counter(
+      static_cast<double>(denied) / static_cast<double>(state.iterations()),
+      benchmark::Counter::kAvgThreads);
+}
+
+BENCHMARK(BM_EngineCheck_AppMix)->Threads(1)->Threads(4)->UseRealTime();
 
 /// Compilation cost (manifest -> checking program), for context: the paper
 /// compiles at app load time, off the critical path.

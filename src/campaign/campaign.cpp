@@ -423,12 +423,12 @@ LiveOutcome runLivePhase(const CampaignConfig& config, const CampaignPlan& plan,
   std::map<of::AppId, std::uint64_t> denialTally;
   std::uint64_t lastAuditSeq = 0;
   auto operatorSweep = [&] {
-    for (const engine::AuditEntry& entry : controller.audit().entries()) {
-      if (entry.sequence < lastAuditSeq) continue;
-      lastAuditSeq = entry.sequence + 1;
-      if (entry.kind != engine::AuditKind::kApiCall || entry.allowed) continue;
-      ++denialTally[entry.app];
-    }
+    lastAuditSeq = controller.audit().visitSince(
+        lastAuditSeq, [&](const engine::AuditRecord& record) {
+          if (record.kind == engine::AuditKind::kApiCall && !record.allowed) {
+            ++denialTally[record.app];
+          }
+        });
     for (const auto& [app, denials] : denialTally) {
       if (denials < config.denialThreshold) continue;
       if (app == serviceId || app == sentinelId) continue;

@@ -1,5 +1,6 @@
 #include "core/engine/audit.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <optional>
@@ -316,6 +317,11 @@ perm::ApiCall unpack(const AuditSlot& slot) {
   return call;
 }
 
+AuditRecord header(const AuditSlot& slot, std::uint64_t sequence) {
+  return AuditRecord{sequence, kindOf(slot), slot.app, callTypeOf(slot),
+                     allowedOf(slot)};
+}
+
 AuditEntry decode(const AuditSlot& slot, std::uint64_t sequence) {
   AuditEntry entry;
   entry.sequence = sequence;
@@ -499,6 +505,17 @@ std::vector<AuditEntry> AuditLog::entries() const { return collect(false, 0); }
 
 std::vector<AuditEntry> AuditLog::entriesFor(of::AppId app) const {
   return collect(true, app);
+}
+
+std::uint64_t AuditLog::visitSince(
+    std::uint64_t from,
+    const std::function<void(const AuditRecord&)>& visit) const {
+  std::lock_guard lock(mutex_);
+  for (std::uint64_t seq = std::max(from, dropped_); seq < nextSequence_;
+       ++seq) {
+    visit(header(slotAt(seq), seq));
+  }
+  return nextSequence_;
 }
 
 std::uint64_t AuditLog::totalRecorded() const {

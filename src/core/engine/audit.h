@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -40,6 +41,15 @@ struct AuditEntry {
   std::string spanTrail;
 
   std::string toString() const;
+};
+
+/// The fixed header of a retained entry: everything but its rendered text.
+struct AuditRecord {
+  std::uint64_t sequence = 0;
+  AuditKind kind = AuditKind::kApiCall;
+  of::AppId app = 0;
+  perm::ApiCallType callType = perm::ApiCallType::kReadTopology;
+  bool allowed = false;
 };
 
 namespace detail {
@@ -76,6 +86,14 @@ class AuditLog {
 
   std::vector<AuditEntry> entries() const;
   std::vector<AuditEntry> entriesFor(of::AppId app) const;
+  /// Cursor read for pollers: calls @p visit on the header of every
+  /// retained entry with sequence >= @p from, oldest first, without
+  /// rendering a summary or touching a spill, and returns the sequence to
+  /// pass next time. Entries evicted since the last call are skipped.
+  /// @p visit runs under the log's lock and must not call back into it.
+  std::uint64_t visitSince(
+      std::uint64_t from,
+      const std::function<void(const AuditRecord&)>& visit) const;
   std::uint64_t totalRecorded() const;
   std::uint64_t deniedCount() const;
   /// Contained-fault entries recorded (not counted as denials).

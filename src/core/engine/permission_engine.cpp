@@ -404,17 +404,11 @@ struct MemoEntry {
 constexpr std::size_t kMemoSlots = 4096;  // Power of two; ~320 KiB/thread.
 
 struct ThreadMemo {
-  std::vector<MemoEntry> slots{kMemoSlots};
+  /// Sized to kMemoSlots by the thread's first check(), so a thread that
+  /// only runs resetThreadMemo() (a shard loop in the publish fence) never
+  /// allocates it.
+  std::vector<MemoEntry> slots;
   std::vector<char> scratch;  ///< Reusable key buffer, grown on demand.
-
-  // Last (engine, version, app) -> compiled resolution. Valid while the
-  // engine's version is unchanged; the shared_ptr keeps the compiled set
-  // alive even if the app is concurrently uninstalled or the engine
-  // destroyed, so the raw pointer handed out below never dangles.
-  std::uint64_t engineId = 0;
-  std::uint64_t engineVersion = 0;
-  of::AppId appId = 0;
-  std::shared_ptr<const CompiledPermissions> compiled;
 };
 
 ThreadMemo& threadMemo() {
@@ -575,8 +569,13 @@ Decision CompiledPermissions::check(const perm::ApiCall& call) const {
                           perm::toString(token) + "'");
   }
   if (!run(program, call)) {
-    return Decision::deny("permission filter on '" + perm::toString(token) +
-                          "' rejected " + call.toString());
+    std::string reason;
+    reason.reserve(192);
+    reason += "permission filter on '";
+    reason += perm::toString(token);
+    reason += "' rejected ";
+    call.appendTo(reason);
+    return Decision::deny(std::move(reason));
   }
   return Decision::allow();
 }
@@ -760,34 +759,57 @@ void PermissionEngine::uninstall(of::AppId app) {
   version_.fetch_add(1, std::memory_order_release);
 }
 
+struct PermissionEngine::Pin {
+  std::uint64_t engineId = 0;  ///< 0 = nothing pinned (ids start at 1).
+  std::uint64_t version = 0;
+  /// Keeps the table, and so every compiled set it names, alive even if
+  /// the engine is destroyed while the pin is held.
+  std::shared_ptr<const AppMap> table;
+  /// Last-app shortcut: lastApp's entry in *table, or null.
+  of::AppId lastApp = 0;
+  const std::shared_ptr<const CompiledPermissions>* last = nullptr;
+};
+
+PermissionEngine::Pin& PermissionEngine::threadPin() {
+  thread_local Pin pin;
+  return pin;
+}
+
+const std::shared_ptr<const CompiledPermissions>* PermissionEngine::pinned(
+    of::AppId app) const {
+  Pin& pin = threadPin();
+  // The version is loaded BEFORE the table is copied, so a table pinned
+  // against version v is never older than the table at v; a writer bumps
+  // the version after swapping the table, which invalidates the pin here
+  // on the next call.
+  std::uint64_t version = version_.load(std::memory_order_acquire);
+  if (pin.engineId != engineId_ || pin.version != version) {
+    pin.table = snapshot();
+    pin.engineId = engineId_;
+    pin.version = version;
+    pin.last = nullptr;
+  } else if (pin.last != nullptr && pin.lastApp == app) {
+    return pin.last;
+  }
+  auto it = pin.table->find(app);
+  if (it == pin.table->end()) return nullptr;
+  pin.lastApp = app;
+  pin.last = &it->second;
+  return pin.last;
+}
+
 Decision PermissionEngine::check(const perm::ApiCall& call) const {
   if (call.app == of::kKernelAppId) return Decision::allow();
 
-  // Resolve the app's compiled set, preferring this thread's cached
-  // resolution. The version is loaded BEFORE any snapshot so a resolution
-  // cached against version v can never be older than the table at v; a
-  // writer bumps the version after swapping the table, which invalidates
-  // the cache here on the next check.
-  ThreadMemo& memo = threadMemo();
-  std::uint64_t version = version_.load(std::memory_order_acquire);
-  const CompiledPermissions* compiledPtr = nullptr;
-  if (memo.engineId == engineId_ && memo.engineVersion == version &&
-      memo.appId == call.app && memo.compiled) {
-    compiledPtr = memo.compiled.get();
-  } else {
-    std::shared_ptr<const AppMap> apps = snapshot();
-    auto it = apps->find(call.app);
-    if (it == apps->end()) {
-      return Decision::deny("app " + std::to_string(call.app) +
-                            " has no installed permissions");
-    }
-    memo.engineId = engineId_;
-    memo.engineVersion = version;
-    memo.appId = call.app;
-    memo.compiled = it->second;
-    compiledPtr = memo.compiled.get();
+  const std::shared_ptr<const CompiledPermissions>* resolved =
+      pinned(call.app);
+  if (resolved == nullptr) {
+    return Decision::deny("app " + std::to_string(call.app) +
+                          " has no installed permissions");
   }
-  const CompiledPermissions& compiled = *compiledPtr;
+  const CompiledPermissions& compiled = **resolved;
+  ThreadMemo& memo = threadMemo();
+  if (memo.slots.empty()) memo.slots.resize(kMemoSlots);
 
   // Memoized fast path: repeated calls with identical attributes (the
   // common case — the same flows recur) skip the filter program entirely.
@@ -829,9 +851,8 @@ Decision PermissionEngine::check(const perm::ApiCall& call) const {
 
 std::shared_ptr<const CompiledPermissions> PermissionEngine::compiled(
     of::AppId app) const {
-  std::shared_ptr<const AppMap> apps = snapshot();
-  auto it = apps->find(app);
-  return it == apps->end() ? nullptr : it->second;
+  const std::shared_ptr<const CompiledPermissions>* entry = pinned(app);
+  return entry == nullptr ? nullptr : *entry;
 }
 
 MemoStats PermissionEngine::memoStats() {
@@ -849,12 +870,8 @@ void PermissionEngine::resetMemoStats() {
 }
 
 void PermissionEngine::resetThreadMemo() {
-  ThreadMemo& memo = threadMemo();
-  for (MemoEntry& entry : memo.slots) entry = MemoEntry{};
-  memo.engineId = 0;
-  memo.engineVersion = 0;
-  memo.appId = 0;
-  memo.compiled.reset();
+  for (MemoEntry& entry : threadMemo().slots) entry = MemoEntry{};
+  threadPin() = Pin{};
 }
 
 }  // namespace sdnshield::engine

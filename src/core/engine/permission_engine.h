@@ -14,9 +14,9 @@
 //     evaluation stack to overflow).
 //  3. PermissionEngine::check memoizes decisions per (app, canonical call
 //     key) in a thread-local direct-mapped cache, and resolves the app's
-//     compiled set through a per-thread epoch cache validated by a single
-//     version-counter load, touching the shared table only when the table
-//     actually changed.
+//     compiled set in a per-thread pin of the whole app table validated by
+//     a single version-counter load, touching shared state only when the
+//     table actually changed.
 #pragma once
 
 #include <atomic>
@@ -219,16 +219,23 @@ class CompiledProgramCache {
 /// Registry of compiled permissions per app, the controller-wide mediator.
 /// The kernel app (id 0) is always fully privileged.
 ///
-/// check() never blocks on writers in the common case: each thread caches
-/// its last (app -> compiled) resolution, validated by one acquire load of
-/// a version counter, and repeated decisions are served from a thread-local
-/// memo cache keyed on the canonicalized call attributes (exact key
-/// comparison — a hash collision can never flip a decision). Only a cold
-/// resolution copies the table snapshot under a micro-mutex held for two
-/// shared_ptr copies. (libstdc++'s std::atomic<std::shared_ptr> is the
-/// same thing — an embedded spinlock — but its GCC 12 implementation
-/// unlocks with a relaxed RMW in load(), a formal data race that TSan
-/// reports; the plain mutex is equivalent in cost and standard-clean.)
+/// check() and compiled() take no lock and write no shared reference count
+/// while the permission epoch holds still. Each thread pins the whole app
+/// table of the engine it last used, keyed on (engine id, table version):
+/// one acquire load of the version validates the pin, the app is looked up
+/// in the pinned immutable table (with a last-app shortcut), and the
+/// compiled set is reached through a raw pointer the pin keeps alive. Only
+/// the first call after an epoch change takes snapshotMutex_, once, to copy
+/// the table pointer; a check therefore sees every pre-swap or every
+/// post-swap grant, never a mixture. Repeated decisions are served from a
+/// thread-local memo keyed on the canonicalized call attributes (exact key
+/// comparison — a hash collision can never flip a decision). The pin is a
+/// few words of its own: threads that only resolve compiled sets (deputy,
+/// shard and app threads) never allocate the memo. (libstdc++'s
+/// std::atomic<std::shared_ptr> is the same micro-mutex — an embedded
+/// spinlock — but its GCC 12 implementation unlocks with a relaxed RMW in
+/// load(), a formal data race that TSan reports; the plain mutex is
+/// standard-clean and now off the steady-state path.)
 class PermissionEngine {
  public:
   PermissionEngine();
@@ -280,7 +287,7 @@ class PermissionEngine {
   static MemoStats memoStats();
   static void resetMemoStats();
 
-  /// Clears the CALLING thread's decision memo and cached app resolution.
+  /// Clears the CALLING thread's decision memo and drops its table pin.
   /// The shard runtime runs this on every loop inside the publish fence so
   /// each shard's memo domain hands over explicitly at an epoch boundary
   /// (the epoch-validated memo would lazily converge anyway; the fence
@@ -296,10 +303,20 @@ class PermissionEngine {
  private:
   using AppMap = std::map<of::AppId, std::shared_ptr<const CompiledPermissions>>;
 
+  /// The calling thread's pin: the app table of one engine at one version.
+  struct Pin;
+  static Pin& threadPin();
+
   std::shared_ptr<const AppMap> snapshot() const {
     std::lock_guard lock(snapshotMutex_);
     return apps_;
   }
+
+  /// @p app's entry in the table the calling thread pins for the current
+  /// epoch (re-pinning first if the epoch moved), or nullptr when the app
+  /// is not installed. Valid until this thread's next call into an engine.
+  const std::shared_ptr<const CompiledPermissions>* pinned(
+      of::AppId app) const;
 
   /// Guards only the apps_ pointer itself (held for a shared_ptr copy, not
   /// for compilation or map copying).
@@ -309,12 +326,12 @@ class PermissionEngine {
   mutable std::mutex fenceMutex_;  // Guards publishFence_ (set vs. invoke).
   std::function<void()> publishFence_;
 
-  /// Process-unique engine identity + monotonic table version. check()
-  /// threads cache their last (app -> compiled) resolution keyed on
-  /// (engineId_, version_): a relaxed-cost version compare replaces the
-  /// snapshot copy + map lookup on the hot path, and any
-  /// install/uninstall bumps the version, invalidating every thread's
-  /// cached resolution at its next check.
+  /// Process-unique engine identity + monotonic table version. Thread pins
+  /// are keyed on (engineId_, version_): an acquire version compare
+  /// replaces the snapshot copy on the hot path, any install/uninstall
+  /// bumps the version, invalidating every thread's pin at its next call,
+  /// and engine ids are never reused, so a pin outliving its engine cannot
+  /// alias a later one.
   std::uint64_t engineId_ = 0;
   std::atomic<std::uint64_t> version_{1};
 };

@@ -1,7 +1,5 @@
 #include "core/perm/api_call.h"
 
-#include <sstream>
-
 namespace sdnshield::perm {
 
 std::string toString(ApiCallType type) {
@@ -84,17 +82,48 @@ Token requiredToken(ApiCallType type) {
 }
 
 std::string ApiCall::toString() const {
-  std::ostringstream out;
-  out << perm::toString(type) << " app=" << app;
-  if (dpid) out << " dpid=" << *dpid;
-  if (match) out << " match=" << match->toString();
-  if (actions) out << " actions=" << of::toString(*actions);
-  if (priority) out << " prio=" << *priority;
-  if (statsLevel) out << " level=" << of::toString(*statsLevel);
-  if (remoteIp) out << " remote=" << remoteIp->toString();
-  if (remotePort) out << ":" << *remotePort;
-  if (path) out << " path=" << *path;
-  return out.str();
+  std::string out;
+  out.reserve(160);
+  appendTo(out);
+  return out;
+}
+
+void ApiCall::appendTo(std::string& out) const {
+  out += perm::toString(type);
+  out += " app=";
+  of::appendDecimal(out, app);
+  if (dpid) {
+    out += " dpid=";
+    of::appendDecimal(out, *dpid);
+  }
+  if (match) {
+    out += " match=";
+    match->appendTo(out);
+  }
+  if (actions) {
+    out += " actions=";
+    of::appendTo(out, *actions);
+  }
+  if (priority) {
+    out += " prio=";
+    of::appendDecimal(out, *priority);
+  }
+  if (statsLevel) {
+    out += " level=";
+    out += of::toString(*statsLevel);
+  }
+  if (remoteIp) {
+    out += " remote=";
+    remoteIp->appendTo(out);
+  }
+  if (remotePort) {
+    out += ':';
+    of::appendDecimal(out, *remotePort);
+  }
+  if (path) {
+    out += " path=";
+    out += *path;
+  }
 }
 
 ApiCall ApiCall::insertFlow(of::AppId app, of::DatapathId dpid,

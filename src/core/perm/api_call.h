@@ -82,7 +82,10 @@ struct ApiCall {
   std::optional<std::uint16_t> remotePort;
   std::optional<std::string> path;  ///< File path or process command line.
 
+  /// "insert_flow app=3 dpid=1 match={...} ..." (audit summaries, deny
+  /// reasons); appendTo() appends the same text to @p out.
   std::string toString() const;
+  void appendTo(std::string& out) const;
 
   // --- factories for common call shapes ------------------------------------
   static ApiCall insertFlow(of::AppId app, of::DatapathId dpid,

@@ -1,53 +1,68 @@
 #include "of/actions.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace sdnshield::of {
 
 std::string toString(const Action& action) {
-  struct Visitor {
-    std::string operator()(const OutputAction& a) const {
-      switch (a.port) {
-        case ports::kFlood:
-          return "output(FLOOD)";
-        case ports::kController:
-          return "output(CONTROLLER)";
-        default:
-          return "output(" + std::to_string(a.port) + ")";
-      }
+  std::string out;
+  appendTo(out, action);
+  return out;
+}
+
+void appendTo(std::string& out, const Action& action) {
+  if (const auto* output = std::get_if<OutputAction>(&action)) {
+    switch (output->port) {
+      case ports::kFlood:
+        out += "output(FLOOD)";
+        return;
+      case ports::kController:
+        out += "output(CONTROLLER)";
+        return;
+      default:
+        out += "output(";
+        appendDecimal(out, output->port);
+        out += ')';
+        return;
     }
-    std::string operator()(const SetFieldAction& a) const {
-      std::string value;
-      switch (a.field) {
-        case MatchField::kEthSrc:
-        case MatchField::kEthDst:
-          value = a.macValue.toString();
-          break;
-        case MatchField::kIpSrc:
-        case MatchField::kIpDst:
-          value = a.ipValue.toString();
-          break;
-        default:
-          value = std::to_string(a.intValue);
-          break;
-      }
-      return "set(" + toString(a.field) + "=" + value + ")";
+  }
+  if (const auto* set = std::get_if<SetFieldAction>(&action)) {
+    out += "set(";
+    out += toString(set->field);
+    out += '=';
+    switch (set->field) {
+      case MatchField::kEthSrc:
+      case MatchField::kEthDst:
+        set->macValue.appendTo(out);
+        break;
+      case MatchField::kIpSrc:
+      case MatchField::kIpDst:
+        set->ipValue.appendTo(out);
+        break;
+      default:
+        appendDecimal(out, set->intValue);
+        break;
     }
-    std::string operator()(const DropAction&) const { return "drop"; }
-  };
-  return std::visit(Visitor{}, action);
+    out += ')';
+    return;
+  }
+  out += "drop";
 }
 
 std::string toString(const ActionList& actions) {
-  std::ostringstream out;
-  out << "[";
+  std::string out;
+  out.reserve(16 * actions.size() + 2);
+  appendTo(out, actions);
+  return out;
+}
+
+void appendTo(std::string& out, const ActionList& actions) {
+  out += '[';
   for (std::size_t i = 0; i < actions.size(); ++i) {
-    if (i > 0) out << ", ";
-    out << toString(actions[i]);
+    if (i > 0) out += ", ";
+    appendTo(out, actions[i]);
   }
-  out << "]";
-  return out.str();
+  out += ']';
 }
 
 bool hasOutput(const ActionList& actions) {

@@ -40,7 +40,10 @@ using Action = std::variant<OutputAction, SetFieldAction, DropAction>;
 using ActionList = std::vector<Action>;
 
 std::string toString(const Action& action);
+/// "[output(2), drop]"; appendTo() appends the same text to @p out.
 std::string toString(const ActionList& actions);
+void appendTo(std::string& out, const Action& action);
+void appendTo(std::string& out, const ActionList& actions);
 
 /// True when the list contains any output (forwarding) action.
 bool hasOutput(const ActionList& actions);

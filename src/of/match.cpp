@@ -1,7 +1,5 @@
 #include "of/match.h"
 
-#include <sstream>
-
 namespace sdnshield::of {
 
 std::string toString(MatchField field) {
@@ -31,8 +29,16 @@ std::string toString(MatchField field) {
 }
 
 std::string MaskedIpv4::toString() const {
-  if (mask.value() == 0xffffffffu) return value.toString();
-  return value.toString() + " MASK " + mask.toString();
+  std::string out;
+  appendTo(out);
+  return out;
+}
+
+void MaskedIpv4::appendTo(std::string& out) const {
+  value.appendTo(out);
+  if (mask.value() == 0xffffffffu) return;
+  out += " MASK ";
+  mask.appendTo(out);
 }
 
 namespace {
@@ -170,27 +176,42 @@ int FlowMatch::constrainedFieldCount() const {
 }
 
 std::string FlowMatch::toString() const {
-  std::ostringstream out;
-  out << "{";
+  std::string out;
+  out.reserve(96);
+  appendTo(out);
+  return out;
+}
+
+void FlowMatch::appendTo(std::string& out) const {
+  out += '{';
   bool first = true;
-  auto emit = [&](const std::string& name, const std::string& value) {
-    if (!first) out << ", ";
+  // Appends "name=" (after a separator); the caller appends the value.
+  auto field = [&](const char* name) {
+    if (!first) out += ", ";
     first = false;
-    out << name << "=" << value;
+    out += name;
+    out += '=';
   };
-  if (inPort) emit("in_port", std::to_string(*inPort));
-  if (ethSrc) emit("eth_src", ethSrc->toString());
-  if (ethDst) emit("eth_dst", ethDst->toString());
-  if (ethType) emit("eth_type", std::to_string(*ethType));
-  if (vlanId) emit("vlan", std::to_string(*vlanId));
-  if (ipSrc) emit("ip_src", ipSrc->toString());
-  if (ipDst) emit("ip_dst", ipDst->toString());
-  if (ipProto) emit("ip_proto", std::to_string(*ipProto));
-  if (tpSrc) emit("tp_src", std::to_string(*tpSrc));
-  if (tpDst) emit("tp_dst", std::to_string(*tpDst));
-  if (first) out << "*";
-  out << "}";
-  return out.str();
+  auto number = [&](const char* name, std::uint64_t value) {
+    field(name);
+    appendDecimal(out, value);
+  };
+  auto text = [&](const char* name, const auto& value) {
+    field(name);
+    value.appendTo(out);
+  };
+  if (inPort) number("in_port", *inPort);
+  if (ethSrc) text("eth_src", *ethSrc);
+  if (ethDst) text("eth_dst", *ethDst);
+  if (ethType) number("eth_type", *ethType);
+  if (vlanId) number("vlan", *vlanId);
+  if (ipSrc) text("ip_src", *ipSrc);
+  if (ipDst) text("ip_dst", *ipDst);
+  if (ipProto) number("ip_proto", *ipProto);
+  if (tpSrc) number("tp_src", *tpSrc);
+  if (tpDst) number("tp_dst", *tpDst);
+  if (first) out += '*';
+  out += '}';
 }
 
 }  // namespace sdnshield::of

@@ -69,7 +69,9 @@ struct MaskedIpv4 {
            (a.value.value() & a.mask.value()) ==
                (b.value.value() & b.mask.value());
   }
+  /// "value" or "value MASK mask"; appendTo() appends the same text.
   std::string toString() const;
+  void appendTo(std::string& out) const;
 };
 
 /// A flow match. Each field is either absent (fully wildcarded) or a
@@ -111,7 +113,10 @@ struct FlowMatch {
 
   friend bool operator==(const FlowMatch&, const FlowMatch&) = default;
 
+  /// "{in_port=1, eth_dst=...}" ("{*}" when wildcard-all); appendTo()
+  /// appends the same text to @p out.
   std::string toString() const;
+  void appendTo(std::string& out) const;
 };
 
 }  // namespace sdnshield::of

@@ -1,5 +1,6 @@
 #include "of/types.h"
 
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
 
@@ -24,11 +25,27 @@ MacAddress MacAddress::parse(const std::string& text) {
   return MacAddress{octets};
 }
 
+void appendDecimal(std::string& out, std::uint64_t value) {
+  char buf[20];
+  auto result = std::to_chars(buf, buf + sizeof buf, value);
+  out.append(buf, result.ptr);
+}
+
 std::string MacAddress::toString() const {
-  char buf[18];
-  std::snprintf(buf, sizeof(buf), "%02x:%02x:%02x:%02x:%02x:%02x", octets_[0],
-                octets_[1], octets_[2], octets_[3], octets_[4], octets_[5]);
-  return buf;
+  std::string out;
+  appendTo(out);
+  return out;
+}
+
+void MacAddress::appendTo(std::string& out) const {
+  constexpr char kHex[] = "0123456789abcdef";
+  char buf[17];
+  for (std::size_t i = 0; i < octets_.size(); ++i) {
+    buf[i * 3] = kHex[octets_[i] >> 4];
+    buf[i * 3 + 1] = kHex[octets_[i] & 0xf];
+    if (i + 1 < octets_.size()) buf[i * 3 + 2] = ':';
+  }
+  out.append(buf, sizeof buf);
 }
 
 Ipv4Address Ipv4Address::parse(const std::string& text) {
@@ -51,10 +68,16 @@ Ipv4Address Ipv4Address::parse(const std::string& text) {
 }
 
 std::string Ipv4Address::toString() const {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", (value_ >> 24) & 0xff,
-                (value_ >> 16) & 0xff, (value_ >> 8) & 0xff, value_ & 0xff);
-  return buf;
+  std::string out;
+  appendTo(out);
+  return out;
+}
+
+void Ipv4Address::appendTo(std::string& out) const {
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    appendDecimal(out, (value_ >> shift) & 0xff);
+    if (shift > 0) out += '.';
+  }
 }
 
 std::string toString(EtherType type) {

@@ -26,6 +26,10 @@ inline constexpr PortNo kLocal = 0xfffe;       ///< Switch-local stack.
 inline constexpr PortNo kNone = 0xffff;        ///< No port / wildcard.
 }  // namespace ports
 
+/// Appends the decimal text of @p value to @p out: the integer formatter of
+/// the appendTo() renderers (no stream, no temporary string).
+void appendDecimal(std::string& out, std::uint64_t value);
+
 /// 48-bit Ethernet MAC address.
 class MacAddress {
  public:
@@ -55,7 +59,9 @@ class MacAddress {
   constexpr bool isBroadcast() const { return toUint64() == 0xffffffffffffULL; }
   constexpr bool isMulticast() const { return (octets_[0] & 0x01) != 0; }
 
+  /// "aa:bb:cc:dd:ee:ff"; appendTo() appends the same text to @p out.
   std::string toString() const;
+  void appendTo(std::string& out) const;
 
   constexpr const std::array<std::uint8_t, 6>& octets() const {
     return octets_;
@@ -90,7 +96,9 @@ class Ipv4Address {
   }
 
   constexpr std::uint32_t value() const { return value_; }
+  /// Dotted quad; appendTo() appends the same text to @p out.
   std::string toString() const;
+  void appendTo(std::string& out) const;
 
   friend constexpr auto operator<=>(const Ipv4Address&,
                                     const Ipv4Address&) = default;

@@ -130,6 +130,60 @@ TEST(AuditLog, QueriesAtCapacityStaySound) {
   EXPECT_EQ(log.droppedCount(), 32u);
 }
 
+// The cursor read sees the same headers entries() renders, resumes where
+// it left off, skips what the ring evicted, and renders nothing: it makes
+// no allocation even over entries whose summaries live in spills.
+TEST(AuditLog, VisitSinceWalksHeadersFromACursor) {
+  AuditLog log(16);
+  of::FlowMod mod;
+  mod.match.tpDst = 80;
+  mod.actions = {of::OutputAction{2}};
+  for (int i = 0; i < 10; ++i) {
+    if (i % 3 == 0) {
+      log.record(ApiCall::fileSystem(2, "/etc/shadow"), false, "no token");
+    } else {
+      log.record(ApiCall::insertFlow(1, 7, mod), true);
+    }
+  }
+  log.recordFault(3, "handler threw");
+
+  std::vector<AuditRecord> seen;
+  auto collect = [&](const AuditRecord& record) { seen.push_back(record); };
+  std::uint64_t cursor = log.visitSince(0, collect);
+  EXPECT_EQ(cursor, log.totalRecorded());
+  std::vector<AuditEntry> rendered = log.entries();
+  ASSERT_EQ(seen.size(), rendered.size());
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i].sequence, rendered[i].sequence);
+    EXPECT_EQ(seen[i].kind, rendered[i].kind);
+    EXPECT_EQ(seen[i].app, rendered[i].app);
+    EXPECT_EQ(seen[i].callType, rendered[i].callType);
+    EXPECT_EQ(seen[i].allowed, rendered[i].allowed);
+  }
+
+  seen.clear();
+  EXPECT_EQ(log.visitSince(cursor, collect), cursor);
+  EXPECT_TRUE(seen.empty());
+
+  // 20 more records wrap the 16-entry ring past the cursor's successors:
+  // the visit starts at the oldest survivor and sees the last 16 of them,
+  // every other one a denial.
+  for (int i = 0; i < 20; ++i) log.record(ApiCall::readTopology(4), i % 2 == 0);
+  std::uint64_t denials = 0;
+  std::uint64_t first = UINT64_MAX;
+  t_allocations = 0;
+  t_countAllocations = true;
+  cursor = log.visitSince(cursor, [&](const AuditRecord& record) {
+    first = std::min(first, record.sequence);
+    denials += record.kind == AuditKind::kApiCall && !record.allowed;
+  });
+  t_countAllocations = false;
+  EXPECT_EQ(t_allocations, 0u);
+  EXPECT_EQ(first, log.droppedCount());
+  EXPECT_EQ(denials, 8u);
+  EXPECT_EQ(cursor, log.totalRecorded());
+}
+
 TEST(AuditLog, ClearResetsDroppedCount) {
   AuditLog log(2);
   for (int i = 0; i < 6; ++i) log.record(ApiCall::readTopology(1), true);
@@ -369,6 +423,58 @@ TEST(AuditLogFormat, RenderingOnReadMatchesRecordTimeText) {
       EXPECT_EQ(log.totalRecorded() - log.droppedCount(), log.entries().size());
     }
   }
+}
+
+// The differentials above compare read-time against record-time text, both
+// from the same renderer; this pins the renderer's bytes themselves.
+TEST(AuditLogFormat, RenderedCallTextIsPinned) {
+  of::FlowMatch full;
+  full.inPort = 0xfffffffeu;
+  full.ethSrc = of::MacAddress::fromUint64(0x0123456789abULL);
+  full.ethDst = of::MacAddress::fromUint64(0xffffffffffffULL);
+  full.ethType = 0x0800;
+  full.vlanId = 4095;
+  full.ipSrc = of::MaskedIpv4{of::Ipv4Address(10, 1, 2, 3),
+                              of::Ipv4Address(255, 0, 255, 0)};
+  full.ipDst = of::MaskedIpv4{of::Ipv4Address(192, 168, 0, 1)};
+  full.ipProto = 255;
+  full.tpSrc = 65535;
+  full.tpDst = 0;
+  ApiCall call;
+  call.type = perm::ApiCallType::kInsertFlow;
+  call.app = 9;
+  call.dpid = 0xbf00000000000001ULL;
+  call.priority = 65535;
+  call.match = full;
+  call.actions = of::ActionList{
+      of::SetFieldAction{of::MatchField::kIpSrc, 1, {},
+                         of::Ipv4Address(9, 9, 9, 9)},
+      of::OutputAction{3},
+      of::DropAction{},
+      of::OutputAction{of::ports::kFlood},
+      of::OutputAction{of::ports::kController},
+      of::SetFieldAction{of::MatchField::kEthSrc, 7,
+                         of::MacAddress::fromUint64(0xa1b2c3d4e5f6ULL), {}},
+      of::SetFieldAction{of::MatchField::kTpDst, ~0ULL, {}, {}}};
+  call.statsLevel = of::StatsLevel::kPort;
+  EXPECT_EQ(call.toString(),
+            "insert_flow app=9 dpid=13763000461244235777 match={in_port="
+            "4294967294, eth_src=01:23:45:67:89:ab, eth_dst=ff:ff:ff:ff:ff:ff, "
+            "eth_type=2048, vlan=4095, ip_src=10.1.2.3 MASK 255.0.255.0, "
+            "ip_dst=192.168.0.1, ip_proto=255, tp_src=65535, tp_dst=0} "
+            "actions=[set(IP_SRC=9.9.9.9), output(3), drop, output(FLOOD), "
+            "output(CONTROLLER), set(ETH_SRC=a1:b2:c3:d4:e5:f6), "
+            "set(TP_DST=18446744073709551615)] prio=65535 level=PORT_LEVEL");
+  ApiCall bare;
+  bare.type = perm::ApiCallType::kDeleteFlow;
+  bare.match = of::FlowMatch::any();
+  bare.actions = of::ActionList{};
+  EXPECT_EQ(bare.toString(), "delete_flow app=0 match={*} actions=[]");
+  EXPECT_EQ(
+      ApiCall::hostNetwork(4, of::Ipv4Address(8, 8, 4, 4), 53).toString(),
+      "host_network_access app=4 remote=8.8.4.4:53");
+  EXPECT_EQ(ApiCall::processRuntime(4, "rm -rf /").toString(),
+            "process_runtime_access app=4 path=rm -rf /");
 }
 
 TEST(AuditLogFormat, EveryCallTypeAndActionShapeRoundTrips) {

@@ -1,12 +1,15 @@
-// Concurrency stress for PermissionEngine (ISSUE 1 satellite): hammers
-// check() from reader threads while writer threads install/uninstall apps,
-// exercising the atomic app-table snapshot and the thread-local decision
-// memo's instance-id invalidation. Run under TSan via
-// scripts/ci.sh (SDNSHIELD_SANITIZE=thread) to catch data races.
+// Concurrency stress for PermissionEngine: hammers check() from reader
+// threads while writer threads install/uninstall apps, exercising the
+// per-thread app-table pin, its epoch invalidation and the thread-local
+// decision memo's instance-id invalidation. Run under TSan via
+// scripts/ci.sh (SDNSHIELD_SANITIZE=thread) to catch data races, and under
+// ASan for the pin-outlives-engine case.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/perm/permission.h"
@@ -134,6 +137,158 @@ TEST(EngineConcurrencyTest, ReinstallInvalidatesMemoizedDecisions) {
 
   engine.uninstall(kApp);
   EXPECT_FALSE(engine.check(call).allowed);
+}
+
+// The pin's last-app shortcut must not outlive the epoch that uninstalls
+// the app: the same thread's next check and compiled() see it gone.
+TEST(EngineConcurrencyTest, UninstallIsSeenByTheSameThreadsNextCall) {
+  PermissionEngine engine;
+  constexpr of::AppId kApp = 3;
+  engine.install(kApp, tpDstOnlyManifest(80));
+  ApiCall call = insertCall(kApp, 80);
+  ASSERT_TRUE(engine.check(call).allowed);
+  ASSERT_NE(engine.compiled(kApp), nullptr);
+  ASSERT_TRUE(engine.check(call).allowed);  // Served by the shortcut.
+
+  engine.uninstall(kApp);
+  EXPECT_FALSE(engine.check(call).allowed);
+  EXPECT_EQ(engine.compiled(kApp), nullptr);
+
+  // And the other way round: compiled() first after the epoch change.
+  engine.install(kApp, tpDstOnlyManifest(80));
+  ASSERT_NE(engine.compiled(kApp), nullptr);
+  engine.uninstall(kApp);
+  EXPECT_EQ(engine.compiled(kApp), nullptr);
+  EXPECT_FALSE(engine.check(call).allowed);
+}
+
+// Two engines at the same table version, granting the same app different
+// ports: alternating between them on one thread must never serve one
+// engine's table for the other.
+TEST(EngineConcurrencyTest, TwoEnginesAlternatingOnOneThreadNeverAlias) {
+  constexpr of::AppId kApp = 5;
+  PermissionEngine http;
+  PermissionEngine https;
+  http.install(kApp, tpDstOnlyManifest(80));
+  https.install(kApp, tpDstOnlyManifest(443));
+  ASSERT_EQ(http.epoch(), https.epoch());
+  ApiCall port80 = insertCall(kApp, 80);
+  ApiCall port443 = insertCall(kApp, 443);
+  for (int round = 0; round < 64; ++round) {
+    ASSERT_TRUE(http.check(port80).allowed) << "round " << round;
+    ASSERT_FALSE(https.check(port80).allowed) << "round " << round;
+    ASSERT_FALSE(http.check(port443).allowed) << "round " << round;
+    ASSERT_TRUE(https.check(port443).allowed) << "round " << round;
+    auto httpSet = http.compiled(kApp);
+    auto httpsSet = https.compiled(kApp);
+    ASSERT_NE(httpSet, httpsSet);
+    ASSERT_TRUE(httpSet->check(port80).allowed);
+    ASSERT_TRUE(httpsSet->check(port443).allowed);
+  }
+}
+
+// A thread's pin keeps the pinned table alive past its engine: destroying
+// the engine while another thread still pins it must stay clean under
+// ASan, and a new engine (possibly at the same address, at the same
+// version) must not be served from the stale pin.
+TEST(EngineConcurrencyTest, EngineDestroyedWhileAnotherThreadPinsItsTable) {
+  constexpr of::AppId kApp = 11;
+  auto engine = std::make_unique<PermissionEngine>();
+  engine->install(kApp, tpDstOnlyManifest(80));
+
+  std::atomic<int> step{0};
+  std::atomic<PermissionEngine*> current{engine.get()};
+  bool pinnedAllowed = false;
+  bool replacementAllowed80 = true;
+  bool replacementAllowed443 = false;
+  std::thread reader([&] {
+    pinnedAllowed = current.load()->check(insertCall(kApp, 80)).allowed;
+    step.store(1);
+    while (step.load() != 2) std::this_thread::yield();
+    // The old engine is gone; this thread still pins its table until the
+    // next call re-pins against the replacement.
+    PermissionEngine* replacement = current.load();
+    replacementAllowed80 = replacement->check(insertCall(kApp, 80)).allowed;
+    replacementAllowed443 = replacement->check(insertCall(kApp, 443)).allowed;
+    step.store(3);
+    while (step.load() != 4) std::this_thread::yield();
+    // Exits still pinning the replacement's table, which is destroyed first.
+  });
+  while (step.load() != 1) std::this_thread::yield();
+  engine.reset();
+  engine = std::make_unique<PermissionEngine>();
+  engine->install(kApp, tpDstOnlyManifest(443));
+  current.store(engine.get());
+  step.store(2);
+  while (step.load() != 3) std::this_thread::yield();
+  engine.reset();
+  step.store(4);
+  reader.join();
+
+  EXPECT_TRUE(pinnedAllowed);
+  EXPECT_FALSE(replacementAllowed80) << "served from the destroyed engine";
+  EXPECT_TRUE(replacementAllowed443);
+}
+
+// Apps 1..8 always hold the same grant; one installAll flips them all.
+// Checks bracketed by equal epoch() reads run in one epoch, so they must
+// agree — a reader that saw one app's old grant beside another's new one
+// would have observed a mixed epoch.
+TEST(EngineConcurrencyTest, GrantsFlippedTogetherAreNeverSeenMixed) {
+  PermissionEngine engine;
+  constexpr of::AppId kApps = 8;
+  auto grantAll = [&](std::uint16_t port) {
+    std::vector<std::pair<of::AppId, perm::PermissionSet>> grants;
+    for (of::AppId app = 1; app <= kApps; ++app) {
+      grants.emplace_back(app, tpDstOnlyManifest(port));
+    }
+    engine.installAll(grants);
+  };
+  grantAll(80);
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> mixed{false};
+  std::atomic<std::uint64_t> bracketed{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      std::vector<bool> allowed(kApps);
+      std::vector<std::shared_ptr<const CompiledPermissions>> sets(kApps);
+      while (!stop.load(std::memory_order_relaxed)) {
+        std::uint64_t before = engine.epoch();
+        // Each reader starts at a different app so every app leads.
+        for (of::AppId i = 0; i < kApps; ++i) {
+          of::AppId app = 1 + (i + static_cast<of::AppId>(t)) % kApps;
+          allowed[app - 1] = engine.check(insertCall(app, 80)).allowed;
+          sets[app - 1] = engine.compiled(app);
+        }
+        if (engine.epoch() != before) continue;
+        bracketed.fetch_add(1, std::memory_order_relaxed);
+        for (of::AppId i = 1; i < kApps; ++i) {
+          if (allowed[i] != allowed[0] || sets[i] != sets[0]) mixed.store(true);
+        }
+      }
+    });
+  }
+  std::thread writer([&] {
+    std::uint16_t port = 443;
+    while (!stop.load(std::memory_order_relaxed)) {
+      grantAll(port);
+      port = port == 80 ? 443 : 80;
+    }
+  });
+
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (bracketed.load(std::memory_order_relaxed) < 20'000 &&
+         std::chrono::steady_clock::now() < deadline && !mixed.load()) {
+    std::this_thread::yield();
+  }
+  stop.store(true);
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_FALSE(mixed.load()) << "a reader saw a mixed permission epoch";
+  EXPECT_GE(bracketed.load(), 1u) << "no reader completed a bracketed pass";
 }
 
 }  // namespace
