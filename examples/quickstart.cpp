@@ -73,6 +73,7 @@ int main() {
   h2->send(of::Packet::makeTcp(h2->mac(), h1->mac(), h2->ip(), h1->ip(), 80,
                                40000, of::tcpflags::kSyn | of::tcpflags::kAck));
   h1->waitForPackets(1, std::chrono::milliseconds(1000));
+  app->drainPending();  // The app pipelines its calls; settle them first.
 
   std::printf("h2 received %zu packet(s); app installed %llu rule(s)\n",
               h2->receivedCount(),

@@ -199,8 +199,7 @@ fi
 echo "=== [6/8] ASan+UBSan build + full test suite ==="
 run_suite build-asan -DSDNSHIELD_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-(cd build-asan && ASAN_OPTIONS=detect_leaks=0 \
-    ctest --output-on-failure --no-tests=error -j "$JOBS")
+(cd build-asan && ctest --output-on-failure --no-tests=error -j "$JOBS")
 
 echo "=== [7/8] TSan build + concurrency suites (ctest -L concurrency) ==="
 run_suite build-tsan -DSDNSHIELD_SANITIZE=thread \
@@ -211,7 +210,7 @@ run_suite build-tsan -DSDNSHIELD_SANITIZE=thread \
     ctest --output-on-failure --no-tests=error -j "$JOBS" -L concurrency)
 
 echo "=== [8/8] Fault-injection pass (ctest -L faultinject under ASan) ==="
-(cd build-asan && ASAN_OPTIONS=detect_leaks=0 \
-    ctest --output-on-failure --no-tests=error -j "$JOBS" -L faultinject)
+(cd build-asan && ctest --output-on-failure --no-tests=error -j "$JOBS" \
+    -L faultinject)
 
 echo "=== CI passed ==="

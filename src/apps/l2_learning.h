@@ -3,15 +3,18 @@
 // switching rules; unknown destinations are flooded.
 //
 // Two northbound styles, selected at construction:
+//  * pipelineWindow > 0 (the default, kDefaultPipelineWindow) — asynchronous
+//    pipelining: the handler issues insertFlowAsync and sendPacketOutAsync
+//    and returns, keeping up to pipelineWindow responses outstanding and
+//    reaping the oldest future once the window is full. The app thread
+//    stays busy admitting packet-ins while the deputies work the backlog
+//    (§VI: choke points are not serialized points). Both calls name the
+//    packet-in's switch, so they share the deputy lane (app, dpid) and the
+//    packet-out reaches the switch after its flow-mod. rulesInstalled()
+//    counts reaped inserts: call drainPending() before reading it.
 //  * pipelineWindow == 0 — classic synchronous calls: each packet-in blocks
-//    the app thread for a full deputy round-trip (insertFlow, then
-//    sendPacketOut).
-//  * pipelineWindow > 0 — asynchronous pipelining: the handler issues
-//    insertFlowAsync/sendPacketOutAsync and keeps up to pipelineWindow
-//    responses outstanding, reaping the oldest future once the window is
-//    full. The app thread stays busy admitting new packet-ins while the
-//    deputy pool works the backlog (§VI: choke points are not serialized
-//    points).
+//    the app thread for two deputy round trips (insertFlow, then
+//    sendPacketOut). Kept for the sync row of bench_throughput --pressure.
 #pragma once
 
 #include <deque>
@@ -24,8 +27,11 @@ namespace sdnshield::apps {
 
 class L2LearningSwitch final : public ctrl::App {
  public:
-  explicit L2LearningSwitch(std::uint16_t rulePriority = 10,
-                            std::size_t pipelineWindow = 0)
+  static constexpr std::size_t kDefaultPipelineWindow = 8;
+
+  explicit L2LearningSwitch(
+      std::uint16_t rulePriority = 10,
+      std::size_t pipelineWindow = kDefaultPipelineWindow)
       : priority_(rulePriority), pipelineWindow_(pipelineWindow) {}
 
   std::string name() const override { return "l2_learning"; }
@@ -36,7 +42,7 @@ class L2LearningSwitch final : public ctrl::App {
   std::uint64_t rulesInstalled() const;
 
   /// Blocks until every outstanding async call has resolved (no-op in
-  /// synchronous mode). Call before reading rulesInstalled() in tests.
+  /// synchronous mode). Call before reading rulesInstalled().
   void drainPending();
 
  private:

@@ -76,31 +76,36 @@ R channelFailure(ShieldRuntime& runtime, of::AppId app,
   }
 }
 
-/// Runs @p work on a deputy under the runtime's call deadline. Calls from a
-/// quarantined app fail fast with kAppQuarantined without touching the
-/// channel.
+/// Runs @p work on a deputy under the runtime's call deadline: on the
+/// (app, @p dpid) lane for a call that names a switch, so it runs after the
+/// app's calls already queued to that switch. Calls from a quarantined app
+/// fail fast with kAppQuarantined without touching the channel.
 template <typename R>
-R viaDeputy(ShieldRuntime& runtime, of::AppId app, std::function<R()> work) {
+R viaDeputy(ShieldRuntime& runtime, of::AppId app, std::function<R()> work,
+            std::optional<of::DatapathId> dpid = std::nullopt) {
   if (runtime.isQuarantined(app)) {
     return R::failure(ctrl::ApiErrc::kAppQuarantined, "app is quarantined");
   }
+  std::optional<LaneKey> lane;
+  if (dpid) lane = LaneKey{app, *dpid};
   try {
     return runtime.ksd().call<R>(std::move(work),
-                                 runtime.options().ksdCallTimeout);
+                                 runtime.options().ksdCallTimeout, lane);
   } catch (...) {
     return channelFailure<R>(runtime, app, std::current_exception());
   }
 }
 
 /// Asynchronous counterpart of viaDeputy: acquires a slot in the app's
-/// bounded in-flight window, queues @p work and returns an ApiFuture that
-/// resolves with the deputy's result — or a typed failure at the call's
-/// absolute deadline (captured at submission, so pipelined calls don't each
-/// restart the clock at get() time). The slot is released by an RAII guard
-/// owned by the queued task: completion, fault and discard paths all free
-/// it, including when the app abandons the future.
+/// bounded in-flight window, queues @p work on the (app, @p dpid) lane and
+/// returns an ApiFuture that resolves with the deputy's result — or a typed
+/// failure at the call's absolute deadline (captured at submission, so
+/// pipelined calls don't each restart the clock at get() time). The slot is
+/// released by an RAII guard owned by the queued task: completion, fault and
+/// discard paths all free it, including when the app abandons the future.
 template <typename R>
 ctrl::ApiFuture<R> submitViaDeputy(ShieldRuntime& runtime, of::AppId app,
+                                   of::DatapathId dpid,
                                    std::function<R()> work) {
   if (runtime.isQuarantined(app)) {
     return ctrl::ApiFuture<R>::ready(
@@ -132,7 +137,8 @@ ctrl::ApiFuture<R> submitViaDeputy(ShieldRuntime& runtime, of::AppId app,
   std::shared_ptr<std::future<R>> future;
   try {
     future = std::make_shared<std::future<R>>(
-        runtime.ksd().template submitFuture<R>(std::move(work), slot));
+        runtime.ksd().template submitFuture<R>(std::move(work), slot,
+                                               LaneKey{app, dpid}));
   } catch (...) {
     return ctrl::ApiFuture<R>::ready(
         channelFailure<R>(runtime, app, std::current_exception()));
@@ -282,28 +288,29 @@ ctrl::ApiResult ShieldedApi::doInsertFlows(of::DatapathId dpid,
 
 ctrl::ApiResult ShieldedApi::insertFlow(of::DatapathId dpid,
                                         const of::FlowMod& mod) {
-  return viaDeputy<ctrl::ApiResult>(runtime_, app_, [this, dpid, mod] {
-    return doInsertFlows(dpid, {&mod, 1});
-  });
+  return viaDeputy<ctrl::ApiResult>(
+      runtime_, app_,
+      [this, dpid, mod] { return doInsertFlows(dpid, {&mod, 1}); }, dpid);
 }
 
 ctrl::ApiResult ShieldedApi::insertFlows(of::DatapathId dpid,
                                          const std::vector<of::FlowMod>& mods) {
   return viaDeputy<ctrl::ApiResult>(
-      runtime_, app_, [this, dpid, mods] { return doInsertFlows(dpid, mods); });
+      runtime_, app_, [this, dpid, mods] { return doInsertFlows(dpid, mods); },
+      dpid);
 }
 
 ctrl::ApiFuture<ctrl::ApiResult> ShieldedApi::insertFlowAsync(
     of::DatapathId dpid, const of::FlowMod& mod) {
-  return submitViaDeputy<ctrl::ApiResult>(runtime_, app_, [this, dpid, mod] {
-    return doInsertFlows(dpid, {&mod, 1});
-  });
+  return submitViaDeputy<ctrl::ApiResult>(
+      runtime_, app_, dpid,
+      [this, dpid, mod] { return doInsertFlows(dpid, {&mod, 1}); });
 }
 
 ctrl::ApiFuture<ctrl::ApiResult> ShieldedApi::sendPacketOutAsync(
     const of::PacketOut& packetOut) {
   return submitViaDeputy<ctrl::ApiResult>(
-      runtime_, app_,
+      runtime_, app_, packetOut.dpid,
       [this, packetOut] { return doSendPacketOut(packetOut); });
 }
 
@@ -333,7 +340,7 @@ ctrl::ApiResult ShieldedApi::deleteFlow(of::DatapathId dpid,
                                   remove.priority);
     }
     return ctrl::ApiResult::success();
-  });
+  }, dpid);
 }
 
 ctrl::ApiResult ShieldedApi::commitFlowTransaction(
@@ -389,7 +396,7 @@ ctrl::ApiResponse<std::vector<of::FlowEntry>> ShieldedApi::readFlowTable(
                            entry.match, entry.priority);
     });
     return response;
-  });
+  }, dpid);
 }
 
 ctrl::ApiResponse<net::Topology> ShieldedApi::readTopology() {
@@ -471,7 +478,7 @@ ctrl::ApiResponse<of::StatsReply> ShieldedApi::readStatistics(
                            e.priority);
     });
     return response;
-  });
+  }, request.dpid);
 }
 
 ctrl::ApiResult ShieldedApi::doSendPacketOut(const of::PacketOut& packetOut) {
@@ -499,7 +506,8 @@ ctrl::ApiResult ShieldedApi::doSendPacketOut(const of::PacketOut& packetOut) {
 ctrl::ApiResult ShieldedApi::sendPacketOut(const of::PacketOut& packetOut) {
   return viaDeputy<ctrl::ApiResult>(
       runtime_, app_,
-      [this, packetOut] { return doSendPacketOut(packetOut); });
+      [this, packetOut] { return doSendPacketOut(packetOut); },
+      packetOut.dpid);
 }
 
 ctrl::ApiResult ShieldedApi::publishData(const std::string& topic,

@@ -75,6 +75,16 @@ void KsdPool::stop() {
   if (virtualized_) {
     if (VirtualExecutor* executor = virtualExecutor()) {
       executor->drainQueue(this);
+      // Each lane's last step frees it, so draining empties lanes_.
+      while (true) {
+        std::vector<const void*> tags;
+        {
+          std::lock_guard lock(lanesMutex_);
+          for (auto& [key, lane] : lanes_) tags.push_back(&lane);
+        }
+        if (tags.empty()) break;
+        for (const void* tag : tags) executor->drainQueue(tag);
+      }
       executor->unregisterQueue(this);
     }
     virtualized_ = false;
@@ -86,11 +96,12 @@ void KsdPool::stop() {
   threads_.clear();
 }
 
-bool KsdPool::submit(std::function<void()> work) {
+bool KsdPool::submit(std::function<void()> work, std::optional<LaneKey> lane) {
   if (FaultInjector::instance().injectQueueFull(sites::kKsdQueue)) {
     recordKsdQueueReject();
     return false;
   }
+  if (lane) return submitToLane(*lane, std::move(work));
   if (virtualized_) {
     if (queue_.closed()) return false;
     VirtualExecutor* executor = virtualExecutor();
@@ -100,12 +111,101 @@ bool KsdPool::submit(std::function<void()> work) {
           runDeputyTask(work);
         });
   }
-  if (!queue_.pushFor(std::move(work), callTimeout_)) {
+  if (!queue_.pushFor(Work{std::move(work)}, callTimeout_)) {
     recordKsdQueueReject();
     return false;
   }
   recordKsdQueueDelta(1);
   return true;
+}
+
+bool KsdPool::submitToLane(const LaneKey& key, std::function<void()> work) {
+  std::lock_guard lock(lanesMutex_);
+  if (queue_.closed()) return false;
+  if (laneCalls_ >= kQueueCapacity) {
+    recordKsdQueueReject();
+    return false;
+  }
+  auto [it, created] = lanes_.try_emplace(key);
+  Lane& lane = it->second;
+  if (created) lane.key = key;
+  if (virtualized_) {
+    VirtualExecutor* executor = virtualExecutor();
+    if (executor && created) {
+      executor->registerQueue(&lane, "ksd.lane:" + std::to_string(key.app) +
+                                         "/" + std::to_string(key.dpid));
+    }
+    // Each call is one explorable step of the lane's own queue.
+    auto step = [this, lane = &lane, work = std::move(work)]() mutable {
+      runLaneStep(lane, work);
+    };
+    bool queued = executor && executor->enqueue(&lane, std::move(step));
+    if (!queued) {
+      if (lane.stepsQueued == 0) {
+        if (executor) executor->unregisterQueue(&lane);
+        lanes_.erase(it);
+      }
+      return false;
+    }
+    ++lane.stepsQueued;
+    return true;
+  }
+  if (created) {
+    // The lane's one turn; later calls join the lane behind it.
+    if (!queue_.tryPush(Work{nullptr, &lane})) {
+      lanes_.erase(it);
+      recordKsdQueueReject();
+      return false;
+    }
+  }
+  lane.calls.push_back(std::move(work));
+  ++laneCalls_;
+  recordKsdQueueDelta(1);
+  return true;
+}
+
+void KsdPool::runLaneStep(Lane* lane, std::function<void()>& task) {
+  runDeputyTask(task);
+  task = nullptr;
+  std::lock_guard lock(lanesMutex_);
+  if (--lane->stepsQueued > 0) return;
+  if (VirtualExecutor* executor = virtualExecutor()) {
+    executor->unregisterQueue(lane);
+  }
+  LaneKey key = lane->key;
+  lanes_.erase(key);
+}
+
+std::size_t KsdPool::runLaneTurn(Lane* lane) {
+  std::function<void()> batch[kBatchMax];
+  std::size_t ran = 0;
+  while (true) {
+    std::size_t taken = 0;
+    {
+      std::lock_guard lock(lanesMutex_);
+      if (lane->calls.empty()) {
+        LaneKey key = lane->key;
+        lanes_.erase(key);
+        return ran;
+      }
+      // After a full turn, yield the deputy: the lane's next turn queues
+      // behind other work. A closed or saturated queue keeps it here.
+      if (ran > 0 && queue_.tryPush(Work{nullptr, lane})) return ran;
+      while (taken < kBatchMax && !lane->calls.empty()) {
+        batch[taken++] = std::move(lane->calls.front());
+        lane->calls.pop_front();
+      }
+      laneCalls_ -= taken;
+    }
+    recordKsdQueueDelta(-static_cast<std::int64_t>(taken));
+    for (std::size_t i = 0; i < taken; ++i) {
+      runDeputyTask(batch[i]);
+      // Release eagerly: a call's promise and slot guard must not outlive
+      // it while later calls run.
+      batch[i] = nullptr;
+    }
+    ran += taken;
+  }
 }
 
 void KsdPool::runDeputyTask(std::function<void()>& task) {
@@ -168,33 +268,34 @@ void KsdPool::invokeAll(std::vector<std::function<void()>> jobs) {
   }
 }
 
+std::size_t KsdPool::runWork(Work& work) {
+  if (work.lane != nullptr) return runLaneTurn(work.lane);
+  recordKsdQueueDelta(-1);
+  runDeputyTask(work.call);
+  // Release eagerly: its shared promise / slot guards must not outlive the
+  // call while later work runs.
+  work.call = nullptr;
+  return 1;
+}
+
 void KsdPool::run() {
   // Deputies are trusted kernel threads: full privilege.
   ScopedIdentity identity(of::kKernelAppId);
-  std::vector<std::function<void()>> batch;
-  batch.reserve(kBatchMax);
   while (auto work = queue_.pop()) {
-    // Batch draining: after the blocking pop, opportunistically pull up to
-    // kBatchMax - 1 more queued requests so the whole burst is served under
-    // one wakeup, one span and one queue-depth update. The app-side
-    // permission context is resolved inside each task against the caller's
-    // identity captured at submit time, so coalescing is safe.
-    batch.clear();
-    batch.push_back(std::move(*work));
-    while (batch.size() < kBatchMax) {
+    // After the blocking pop, keep taking queued work until kBatchMax calls
+    // ran, so a burst is served under one wakeup and one span. Items are
+    // taken one at a time: a deputy never holds a lane's turn while another
+    // item runs, so a hung call cannot stall a lane it did not start. The
+    // app-side permission context is resolved inside each task against the
+    // caller's identity captured at submit time, so coalescing is safe.
+    OBS_SPAN("ksd.batch");
+    std::size_t calls = runWork(*work);
+    while (calls < kBatchMax) {
       auto more = queue_.tryPop();
       if (!more) break;
-      batch.push_back(std::move(*more));
+      calls += runWork(*more);
     }
-    recordKsdQueueDelta(-static_cast<std::int64_t>(batch.size()));
-    recordKsdBatch(batch.size());
-    OBS_SPAN("ksd.batch");
-    for (std::function<void()>& task : batch) {
-      runDeputyTask(task);
-      // Release the task eagerly: its shared promise / slot guards must not
-      // outlive the batch loop while later tasks run.
-      task = nullptr;
-    }
+    recordKsdBatch(calls);
   }
 }
 

@@ -3,6 +3,15 @@
 // execute them on the app's behalf. Multiple deputies run in parallel —
 // "the choke points do not mean serialized points".
 //
+// Ordered lanes: a call that names a switch runs on the lane keyed by
+// (app, dpid), a strand on the shared queue. One lane's calls run FIFO, one
+// at a time, so an app's pipelined flow-mod and packet-out to one switch
+// reach it in submission order; different lanes run on different deputies
+// in parallel, so a hung call stalls only its own lane. This is the
+// per-(sender, receiver) FIFO channel of actor-model SDN checking. Lanes
+// are created on a switch's first call and freed once drained, and under a
+// VirtualExecutor each lane is an explorable queue of its own.
+//
 // Availability: call() carries a deadline so a hung or saturated deputy can
 // only stall the calling app for a bounded time (DeadlineExceeded), never
 // forever. Results travel through a shared-ownership promise: an abandoned
@@ -14,19 +23,23 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "isolation/channel.h"
 #include "isolation/executor.h"
 #include "isolation/fault_injector.h"
 #include "obs/trace.h"
+#include "of/flow_mod.h"
 
 namespace sdnshield::iso {
 
@@ -118,12 +131,21 @@ class InFlightWindow {
   std::size_t inFlight_ = 0;
 };
 
+/// Names a deputy lane: one app's calls to one switch.
+struct LaneKey {
+  of::AppId app = 0;
+  of::DatapathId dpid = 0;
+  friend bool operator==(const LaneKey&, const LaneKey&) = default;
+};
+
 class KsdPool {
  public:
   static constexpr std::chrono::milliseconds kDefaultCallTimeout{10000};
-  /// Max queued requests a deputy drains per wakeup (one obs span, one
-  /// queue-depth update per batch).
+  /// Max calls a deputy runs per wakeup (one obs span, one batch-size
+  /// sample), and per turn of one lane before the lane yields the deputy.
   static constexpr std::size_t kBatchMax = 16;
+  /// Bound on queued calls, for the shared queue and for all lanes together.
+  static constexpr std::size_t kQueueCapacity = 65536;
 
   explicit KsdPool(std::size_t threads = 2,
                    std::chrono::milliseconds callTimeout = kDefaultCallTimeout)
@@ -136,9 +158,12 @@ class KsdPool {
   void start();
   void stop();
 
-  /// Enqueues work for a deputy. Returns false after stop() or when the
-  /// channel stays saturated past the pool deadline.
-  bool submit(std::function<void()> work);
+  /// Enqueues work for a deputy: on @p lane's FIFO when given, else on the
+  /// shared queue. Returns false after stop() or when the channel stays
+  /// saturated past the pool deadline (a lane over kQueueCapacity rejects
+  /// at once).
+  bool submit(std::function<void()> work,
+              std::optional<LaneKey> lane = std::nullopt);
 
   /// Enqueues work and returns a std::future for its result — the
   /// asynchronous submission shape the in-flight pipeline builds on. Throws
@@ -147,21 +172,24 @@ class KsdPool {
   /// a caller that abandons the future leaves nothing dangling, and a task
   /// discarded without running breaks the promise (std::future_error) and
   /// wakes any waiter. @p onDone, if set, runs when the task completes or
-  /// is destroyed unrun (in-flight slot release rides on it).
+  /// is destroyed unrun (in-flight slot release rides on it). @p lane as in
+  /// submit().
   template <typename R>
   std::future<R> submitFuture(std::function<R()> work,
-                              std::shared_ptr<void> onDone = nullptr) {
+                              std::shared_ptr<void> onDone = nullptr,
+                              std::optional<LaneKey> lane = std::nullopt) {
     FaultInjector::instance().inject(sites::kKsdCall);
     auto result = std::make_shared<std::promise<R>>();
     std::future<R> future = result->get_future();
-    bool posted =
-        submit([work = std::move(work), result, onDone = std::move(onDone)] {
+    bool posted = submit(
+        [work = std::move(work), result, onDone = std::move(onDone)] {
           try {
             result->set_value(work());
           } catch (...) {
             result->set_exception(std::current_exception());
           }
-        });
+        },
+        lane);
     if (!posted) {
       if (queue_.closed()) throw PoolStopped("KSD pool is stopped");
       throw QueueSaturated("KSD channel saturated past the deadline");
@@ -211,13 +239,15 @@ class KsdPool {
   /// the synchronous API-call shape apps see through the wrappers. Throws
   /// DeadlineExceeded when the deputy misses @p timeout, PoolStopped /
   /// QueueSaturated when the submission fails, and CallDropped when the
-  /// deputy discarded the queued call.
+  /// deputy discarded the queued call. On @p lane the call runs after every
+  /// call already queued there.
   template <typename R>
-  R call(std::function<R()> work, std::chrono::milliseconds timeout) {
+  R call(std::function<R()> work, std::chrono::milliseconds timeout,
+         std::optional<LaneKey> lane = std::nullopt) {
     OBS_SPAN("ksd.call");
     std::int64_t startNs = obs::Tracer::nowNs();
     auto deadline = std::chrono::steady_clock::now() + timeout;
-    std::future<R> future = submitFuture<R>(std::move(work));
+    std::future<R> future = submitFuture<R>(std::move(work), nullptr, lane);
     return await(future, deadline, startNs, "ksd.call");
   }
 
@@ -245,16 +275,52 @@ class KsdPool {
   /// Deputy tasks that threw (contained, not fatal).
   std::uint64_t faultCount() const { return faults_.load(); }
   std::size_t queueDepth() const { return queue_.size(); }
+  /// Lanes currently holding queued or running calls.
+  std::size_t laneCount() const {
+    std::lock_guard lock(lanesMutex_);
+    return lanes_.size();
+  }
 
  private:
+  struct LaneKeyHash {
+    std::size_t operator()(const LaneKey& key) const {
+      return std::hash<std::uint64_t>()(key.dpid * 0x9e3779b97f4a7c15ULL ^
+                                        key.app);
+    }
+  };
+  /// A lane exists while it holds calls; in threaded mode exactly one turn
+  /// of it is then queued or running.
+  struct Lane {
+    LaneKey key;
+    std::deque<std::function<void()>> calls;  ///< Threaded mode.
+    std::size_t stepsQueued = 0;  ///< Virtual mode: calls the executor holds.
+  };
+  /// A shared-queue item: one call, or one turn of a lane.
+  struct Work {
+    std::function<void()> call;
+    Lane* lane = nullptr;
+  };
+
   void run();
+  /// Runs one shared-queue item; returns the calls it ran.
+  std::size_t runWork(Work& work);
+  bool submitToLane(const LaneKey& key, std::function<void()> work);
+  /// Runs up to kBatchMax of the lane's calls in order, then frees the lane
+  /// if it drained or queues its next turn behind other work.
+  std::size_t runLaneTurn(Lane* lane);
+  /// Virtual mode: one lane call as a scheduler step; frees a drained lane.
+  void runLaneStep(Lane* lane, std::function<void()>& task);
   /// One containment-wrapped deputy task under kernel identity — shared
   /// between the real deputy loop and the virtual scheduler's steps.
   void runDeputyTask(std::function<void()>& task);
 
   std::size_t threadCount_;
   std::chrono::milliseconds callTimeout_;
-  BoundedMpmcQueue<std::function<void()>> queue_{65536};
+  BoundedMpmcQueue<Work> queue_{kQueueCapacity};
+  /// Lock order: lanesMutex_ before the shared queue's and the executor's.
+  mutable std::mutex lanesMutex_;
+  std::unordered_map<LaneKey, Lane, LaneKeyHash> lanes_;
+  std::size_t laneCalls_ = 0;  ///< Queued across lanes, under lanesMutex_.
   std::vector<std::thread> threads_;
   std::atomic<std::uint64_t> processed_{0};
   std::atomic<std::uint64_t> faults_{0};

@@ -257,6 +257,8 @@ OfServer::OfServer(ctrl::Controller& controller, OfServerConfig config)
   ioShards_.reserve(ioThreads);
   for (std::size_t i = 0; i < ioThreads; ++i) {
     ioShards_.push_back(std::make_unique<IoShard>());
+    IoShard* shard = ioShards_.back().get();
+    shard->reactor.setWakeupHook([this, shard] { flushPacketIns(*shard); });
   }
 }
 
@@ -412,6 +414,9 @@ void OfServer::onSession(IoShard& shard, int fd, std::uint32_t events) {
   }
   if (!(events & EPOLLIN)) return;
 
+  // A closing peer's last frames are still handled: packet-ins read just
+  // before EOF reach the controller before the session is dropped.
+  const char* closeReason = nullptr;
   std::uint8_t chunk[64 * 1024];
   while (true) {
     ssize_t n = ::read(fd, chunk, sizeof(chunk));
@@ -420,13 +425,13 @@ void OfServer::onSession(IoShard& shard, int fd, std::uint32_t events) {
       continue;
     }
     if (n == 0) {
-      dropSession(shard, fd, "eof");
-      return;
+      closeReason = "eof";
+      break;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
-    dropSession(shard, fd, "read error");
-    return;
+    closeReason = "read error";
+    break;
   }
 
   Framer::Frame frame;
@@ -440,7 +445,7 @@ void OfServer::onSession(IoShard& shard, int fd, std::uint32_t events) {
       return;
     }
     auto frameStart = std::chrono::steady_clock::now();
-    if (!handleFrame(session, frame)) {
+    if (!handleFrame(shard, session, frame)) {
       framingErrors_.fetch_add(1);
       g_framingErrors.increment();
       dropSession(shard, fd, "bad message");
@@ -452,9 +457,11 @@ void OfServer::onSession(IoShard& shard, int fd, std::uint32_t events) {
     // dropSession may have run via handleFrame side effects.
     if (shard.sessions.find(fd) == shard.sessions.end()) return;
   }
+  if (closeReason != nullptr) dropSession(shard, fd, closeReason);
 }
 
-bool OfServer::handleFrame(Session& session, const Framer::Frame& frame) {
+bool OfServer::handleFrame(IoShard& shard, Session& session,
+                           const Framer::Frame& frame) {
   wire::Message message;
   try {
     message = wire::decode(frame.data, frame.size);
@@ -464,6 +471,7 @@ bool OfServer::handleFrame(Session& session, const Framer::Frame& frame) {
   of::DatapathId dpid = session.conn->dpid();
   if (const auto* features = std::get_if<wire::FeaturesReply>(&message)) {
     if (session.attached) return true;  // Duplicate reply: ignore.
+    flushPacketIns(shard);
     if (features->dpid == 0) return false;  // No identity, no attachment.
     session.conn->setDpid(features->dpid);
     ctrl::ConnectionInfo info;
@@ -494,7 +502,7 @@ bool OfServer::handleFrame(Session& session, const Framer::Frame& frame) {
     if (!session.attached) return true;  // Not a switch yet: drop quietly.
     packetIn->dpid = dpid;
     g_packetIns.increment();
-    controller_.onPacketIn(*packetIn);
+    shard.packetIns.push_back(std::move(*packetIn));
     return true;
   }
   if (auto* statsReply = std::get_if<of::StatsReply>(&message)) {
@@ -505,6 +513,7 @@ bool OfServer::handleFrame(Session& session, const Framer::Frame& frame) {
   if (auto* removed = std::get_if<of::FlowRemoved>(&message)) {
     if (session.attached) {
       removed->dpid = dpid;
+      flushPacketIns(shard);
       controller_.onFlowRemoved(*removed);
     }
     return true;
@@ -512,6 +521,7 @@ bool OfServer::handleFrame(Session& session, const Framer::Frame& frame) {
   if (auto* errorMsg = std::get_if<of::ErrorMsg>(&message)) {
     if (session.attached) {
       errorMsg->dpid = dpid;
+      flushPacketIns(shard);
       controller_.onSwitchError(*errorMsg);
     }
     return true;
@@ -521,9 +531,18 @@ bool OfServer::handleFrame(Session& session, const Framer::Frame& frame) {
   return false;
 }
 
+void OfServer::flushPacketIns(IoShard& shard) {
+  if (shard.packetIns.empty()) return;
+  // One blocking hop per shard: the reactor reads nothing more until the
+  // batch is delivered, which keeps backpressure and per-switch order.
+  controller_.onPacketIns(shard.packetIns);
+  shard.packetIns.clear();
+}
+
 void OfServer::dropSession(IoShard& shard, int fd, const char* reason) {
   auto it = shard.sessions.find(fd);
   if (it == shard.sessions.end()) return;
+  flushPacketIns(shard);
   bool wasAttached = it->second.attached;
   it->second.conn->closeConn(reason);
   shard.sessions.erase(it);

@@ -9,9 +9,13 @@
 // OFPT_FEATURES_REQUEST; the switch's OFPT_FEATURES_REPLY carries its
 // datapath-id, at which point the connection is attached under transport
 // "tcp". Echo requests are answered in place; packet-ins are decoded and
-// dispatched to the controller on the reactor thread; flow-mods/packet-outs
-// flow back through TcpSwitchConn with typed ApiResult errors
-// (kConnClosed / kFramingError / kQueueFull) — never exceptions.
+// collected per reactor, in arrival order, and handed to the controller in
+// one Controller::onPacketIns batch at the end of each reactor wakeup — one
+// blocking shard hop per wakeup instead of one per frame. A session's
+// flow-removed, error or features frame, and its teardown, first flush the
+// batch, so the controller sees each switch's messages in wire order.
+// Flow-mods/packet-outs flow back through TcpSwitchConn with typed ApiResult
+// errors (kConnClosed / kFramingError / kQueueFull) — never exceptions.
 //
 // Fault containment: a malformed frame poisons only its own connection —
 // the framer reports status, the session is torn down, and every other
@@ -164,6 +168,8 @@ class OfServer {
   struct IoShard {
     Reactor reactor;
     std::map<int, Session> sessions;
+    /// Packet-ins decoded in this wakeup, in arrival order.
+    std::vector<of::PacketIn> packetIns;
   };
 
   void onAccept(std::uint32_t events);
@@ -172,7 +178,12 @@ class OfServer {
   void adoptSession(IoShard& shard, int fd, Session session);
   void onSession(IoShard& shard, int fd, std::uint32_t events);
   /// False = session must be torn down (framing error, protocol breach).
-  bool handleFrame(Session& session, const Framer::Frame& frame);
+  bool handleFrame(IoShard& shard, Session& session,
+                   const Framer::Frame& frame);
+  /// Hands the shard's collected packet-ins to the controller in one batch.
+  void flushPacketIns(IoShard& shard);
+  /// Flushes the batch first, so packet-ins read before the teardown are
+  /// still delivered.
   void dropSession(IoShard& shard, int fd, const char* reason);
 
   ctrl::Controller& controller_;

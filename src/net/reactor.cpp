@@ -155,6 +155,7 @@ void Reactor::loop() {
         (*handler)(events[i].events);
       }
     }
+    if (wakeupHook_) wakeupHook_();
     drainTasks();
   }
   // One final drain so post()ed cleanups are not stranded.

@@ -48,6 +48,13 @@ class Reactor {
   /// Enqueues a task to run on the reactor thread; wakes the loop.
   void post(std::function<void()> task);
 
+  /// Runs @p hook on the reactor thread once per wakeup, after the ready
+  /// fds' handlers and before posted tasks (e.g. to hand the wakeup's
+  /// decoded messages on in one batch). Set before start() or run().
+  void setWakeupHook(std::function<void()> hook) {
+    wakeupHook_ = std::move(hook);
+  }
+
   /// Spawns the loop thread. start()/stop() pair; idempotent start returns
   /// false if already running.
   bool start();
@@ -77,6 +84,7 @@ class Reactor {
   std::atomic<std::thread::id> loopThreadId_{};
   std::thread thread_;
   bool threadStarted_ = false;
+  std::function<void()> wakeupHook_;
 
   mutable std::mutex mutex_;  // Guards handlers_ and tasks_.
   std::map<int, std::shared_ptr<IoHandler>> handlers_;

@@ -52,11 +52,15 @@ void SimNetwork::link(of::DatapathId a, of::PortNo aPort, of::DatapathId b,
   auto swA = switchAt(a);
   auto swB = switchAt(b);
   if (!swA || !swB) throw std::invalid_argument("link: unknown switch");
-  swA->connectPort(aPort, [swB, bPort](const of::Packet& packet) {
-    swB->receivePacket(bPort, packet);
+  // Port sinks hold their peer weakly: two switches holding each other
+  // would keep both alive past the network that owns them.
+  swA->connectPort(aPort, [peer = std::weak_ptr(swB),
+                           bPort](const of::Packet& packet) {
+    if (auto sw = peer.lock()) sw->receivePacket(bPort, packet);
   });
-  swB->connectPort(bPort, [swA, aPort](const of::Packet& packet) {
-    swA->receivePacket(aPort, packet);
+  swB->connectPort(bPort, [peer = std::weak_ptr(swA),
+                           aPort](const of::Packet& packet) {
+    if (auto sw = peer.lock()) sw->receivePacket(aPort, packet);
   });
   controller_.addLink(a, aPort, b, bPort);
 }
@@ -69,9 +73,11 @@ std::shared_ptr<SimHost> SimNetwork::addHost(of::DatapathId dpid,
   if (!edge) throw std::invalid_argument("addHost: unknown switch");
   net::Host descriptor{mac, ip, dpid, port};
   auto host = std::make_shared<SimHost>(descriptor, edge);
-  edge->connectPort(port, [host](const of::Packet& packet) {
-    host->onDelivered(packet);
-  });
+  // Weak for the same reason: the host holds its edge switch.
+  edge->connectPort(port,
+                    [peer = std::weak_ptr(host)](const of::Packet& packet) {
+                      if (auto live = peer.lock()) live->onDelivered(packet);
+                    });
   hosts_.push_back(host);
   controller_.learnHost(descriptor);
   return host;

@@ -44,11 +44,13 @@ TEST(L2LearningBaseline, LearnsFloodsAndInstallsRules) {
   h1->send(tcpSyn(*h1, *h2));
   EXPECT_EQ(h2->receivedCount(), 1u);
   EXPECT_EQ(app->packetsSeen(), 1u);
+  app->drainPending();
   EXPECT_EQ(app->rulesInstalled(), 0u);
 
   // h2 replies: now h1's MAC is known, a rule is installed and used.
   h2->send(tcpSyn(*h2, *h1));
   EXPECT_EQ(h1->receivedCount(), 1u);
+  app->drainPending();
   EXPECT_EQ(app->rulesInstalled(), 1u);
   EXPECT_EQ(network.switchAt(1)->flowCount(), 1u);
 
@@ -75,6 +77,7 @@ TEST(L2LearningShielded, SameBehaviourThroughTheShield) {
   ASSERT_TRUE(h2->waitForPackets(1, 2000ms));
   h2->send(tcpSyn(*h2, *h1));
   ASSERT_TRUE(h1->waitForPackets(1, 2000ms));
+  app->drainPending();
   EXPECT_EQ(app->rulesInstalled(), 1u);
   EXPECT_EQ(network.switchAt(1)->flowCount(), 1u);
 }

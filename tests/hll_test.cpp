@@ -290,7 +290,9 @@ TEST_F(HllInstallTest, PartialDenialSkipsOnlyTheBlockedRules) {
   ASSERT_FALSE(report.denied.empty());
   EXPECT_EQ(report.denied[0].owner, 7u);
   // The installed rules contain no header rewrites.
-  for (const of::FlowEntry& entry : network_.switchAt(1)->dumpFlows().value()) {
+  auto flows = network_.switchAt(1)->dumpFlows();
+  ASSERT_TRUE(flows.ok());
+  for (const of::FlowEntry& entry : flows.value()) {
     EXPECT_FALSE(of::modifiesHeaders(entry.actions)) << entry.toString();
   }
 }

@@ -1,7 +1,9 @@
 // The asynchronous northbound pipeline: ApiFuture submission through the
 // deputy pool, bounded per-app in-flight windows, completion-vs-submission
-// ordering, future abandonment, quarantine with calls in flight, and the
-// vectorized insertFlows differential against sequential insertFlow.
+// ordering, future abandonment, quarantine with calls in flight, the
+// vectorized insertFlows differential against sequential insertFlow, and the
+// ordered (app, dpid) deputy lanes: per-lane FIFO under many deputies, no
+// sync call overtaking its lane, a hung lane leaving the others running.
 #include "isolation/api_proxy.h"
 
 #include <gtest/gtest.h>
@@ -9,11 +11,13 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/lang/perm_parser.h"
+#include "isolation/fault_injector.h"
 #include "switchsim/sim_network.h"
 
 namespace sdnshield::iso {
@@ -320,6 +324,166 @@ TEST(IsolationAsync, PacketOutAsyncRequiresProvenance) {
   ctrl::ApiResult result =
       app->context().api().sendPacketOutAsync(out).get();
   EXPECT_EQ(result.code(), ctrl::ApiErrc::kPermissionDenied);
+  rig.shield.shutdown();
+}
+
+// --- ordered deputy lanes ---------------------------------------------------
+
+TEST(KsdLanes, MixedSyncAndAsyncCallsRunInPerLaneSubmissionOrder) {
+  constexpr std::size_t kLanes = 8;
+  constexpr std::size_t kSubmitters = 4;
+  constexpr std::size_t kCallsPerSubmitter = 2500;  // 10k calls in all.
+  KsdPool pool(4);
+  pool.start();
+  // Unsynchronized on purpose: a lane's calls never overlap, and each one
+  // happens-after the previous, so TSan checks the strand as well.
+  std::vector<std::vector<std::size_t>> ran(kLanes);
+  std::vector<std::thread> submitters;
+  for (std::size_t t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&pool, &ran, t] {
+      // Each submitter owns two lanes and interleaves them; every fifth
+      // call is synchronous.
+      std::size_t next[2] = {0, 0};
+      std::vector<std::future<std::size_t>> pending;
+      for (std::size_t i = 0; i < kCallsPerSubmitter; ++i) {
+        std::size_t mine = i % 2;
+        std::size_t lane = 2 * t + mine;
+        std::size_t seq = next[mine]++;
+        LaneKey key{static_cast<of::AppId>(1 + lane % 2), 1 + lane / 2};
+        std::function<std::size_t()> work = [&ran, lane, seq] {
+          ran[lane].push_back(seq);
+          return seq;
+        };
+        if (i % 5 == 4) {
+          EXPECT_EQ(pool.call<std::size_t>(std::move(work), 10s, key), seq);
+        } else {
+          pending.push_back(
+              pool.submitFuture<std::size_t>(std::move(work), nullptr, key));
+        }
+      }
+      for (auto& future : pending) future.get();
+    });
+  }
+  for (std::thread& submitter : submitters) submitter.join();
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    ASSERT_EQ(ran[lane].size(), kCallsPerSubmitter / 2) << "lane " << lane;
+    for (std::size_t seq = 0; seq < ran[lane].size(); ++seq) {
+      ASSERT_EQ(ran[lane][seq], seq) << "lane " << lane;
+    }
+  }
+  // Drained lanes are freed.
+  EXPECT_TRUE(waitFor([&] { return pool.laneCount() == 0; }));
+  pool.stop();
+}
+
+TEST(KsdLanes, SyncCallNeverOvertakesTheLanesQueuedAsyncCalls) {
+  KsdPool pool(4);
+  pool.start();
+  const LaneKey lane{1, 1};
+  auto gate = std::make_shared<Gate>();
+  std::atomic<int> asyncRan{0};
+  std::vector<std::future<int>> queued;
+  queued.push_back(pool.submitFuture<int>(
+      [gate] {
+        gate->wait();
+        return 0;
+      },
+      nullptr, lane));
+  for (int i = 1; i <= 5; ++i) {
+    queued.push_back(pool.submitFuture<int>(
+        [&asyncRan, i] {
+          ++asyncRan;
+          return i;
+        },
+        nullptr, lane));
+  }
+  std::atomic<bool> returned{false};
+  int seenBySync = -1;
+  std::thread caller([&] {
+    seenBySync =
+        pool.call<int>([&asyncRan] { return asyncRan.load(); }, 10s, lane);
+    returned = true;
+  });
+  // Three deputies are idle: a sync call that skipped the lane would have
+  // run by now.
+  std::this_thread::sleep_for(100ms);
+  EXPECT_FALSE(returned.load());
+  gate->open();
+  caller.join();
+  EXPECT_EQ(seenBySync, 5);
+  for (int i = 0; i <= 5; ++i) EXPECT_EQ(queued[i].get(), i);
+  pool.stop();
+}
+
+TEST(KsdLanes, HungCallStallsOnlyItsOwnLane) {
+  ShieldOptions options;
+  options.ksdThreads = 4;
+  options.supervise = false;
+  Rig rig(options, /*switches=*/2);
+  auto app = std::make_shared<TestApp>();
+  rig.load(app, "PERM insert_flow\n");
+  ctrl::NorthboundApi& api = app->context().api();
+
+  FaultInjector& faults = FaultInjector::instance();
+  std::uint64_t firedBefore = faults.fired(sites::kKsdTask);
+  ScopedFault hang(sites::kKsdTask, FaultInjector::Fault::kDelay, /*times=*/1,
+                   /*delay=*/1500ms);
+  auto hung = api.insertFlowAsync(1, modTo("10.0.0.1"));
+  ASSERT_TRUE(waitFor(
+      [&] { return faults.fired(sites::kKsdTask) == firedBefore + 1; }));
+  auto behind = api.insertFlowAsync(1, modTo("10.0.0.2"));
+
+  // Switch 2's lane runs on another deputy while switch 1's lane is stuck.
+  auto start = std::chrono::steady_clock::now();
+  ctrl::ApiResult other = api.insertFlow(2, modTo("10.0.0.3"));
+  EXPECT_TRUE(other.ok()) << other.error().toString();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 1000ms);
+  EXPECT_EQ(rig.network.switchAt(2)->flowCount(), 1u);
+  EXPECT_FALSE(behind.isReady()) << "a call overtook its lane's hung call";
+  EXPECT_EQ(rig.network.switchAt(1)->flowCount(), 0u);
+
+  EXPECT_TRUE(hung.get().ok());
+  EXPECT_TRUE(behind.get().ok());
+  EXPECT_EQ(rig.network.switchAt(1)->flowCount(), 2u);
+  rig.shield.shutdown();
+}
+
+TEST(KsdLanes, AbandonedAndDiscardedCallsReleaseTheirWindowSlots) {
+  ShieldOptions options;
+  options.ksdThreads = 2;
+  options.asyncWindow = 2;
+  options.supervise = false;
+  Rig rig(options, /*switches=*/2);
+  auto app = std::make_shared<TestApp>();
+  of::AppId id = rig.load(app, "PERM insert_flow\n");
+  ctrl::NorthboundApi& api = app->context().api();
+  EXPECT_EQ(rig.shield.ksd().laneCount(), 0u) << "loading made a lane";
+
+  {
+    // The deputy discards the queued call unrun: its caller sees a dropped
+    // call, and the slot comes back with the destroyed task.
+    ScopedFault discard(sites::kKsdTask, FaultInjector::Fault::kThrow,
+                        /*times=*/1);
+    EXPECT_EQ(api.insertFlowAsync(1, modTo("10.0.0.1")).get().code(),
+              ctrl::ApiErrc::kPoolStopped);
+  }
+  {
+    // Abandoned on two lanes: the calls still run and free their slots.
+    auto a = api.insertFlowAsync(1, modTo("10.0.0.2"));
+    auto b = api.insertFlowAsync(2, modTo("10.0.0.3"));
+  }
+  EXPECT_TRUE(waitFor(
+      [&] { return rig.shield.inFlightWindow(id)->inFlight() == 0; }));
+  EXPECT_TRUE(waitFor([&] {
+    return rig.network.switchAt(1)->flowCount() == 1u &&
+           rig.network.switchAt(2)->flowCount() == 1u;
+  }));
+  // The whole window is free again, and drained lanes are gone.
+  auto c = api.insertFlowAsync(1, modTo("10.0.0.4"));
+  auto d = api.insertFlowAsync(2, modTo("10.0.0.5"));
+  EXPECT_TRUE(c.get().ok());
+  EXPECT_TRUE(d.get().ok());
+  EXPECT_TRUE(waitFor([&] { return rig.shield.ksd().laneCount() == 0; }));
   rig.shield.shutdown();
 }
 

@@ -137,6 +137,7 @@ TEST(ManifestRecorder, AppRunsUnderItsOwnRecordedManifest) {
   h2->send(of::Packet::makeTcp(h2->mac(), h1->mac(), h2->ip(), h1->ip(), 80,
                                40000, of::tcpflags::kAck));
   ASSERT_TRUE(h1->waitForPackets(1, 2000ms));
+  app->drainPending();
   EXPECT_EQ(app->rulesInstalled(), 1u);
   EXPECT_EQ(controller.audit().deniedCount(), 0u);
 }

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <fstream>
@@ -264,6 +265,102 @@ TEST(Mck, RevokeVsInFlightBatchNeverLeaksFlowMods) {
 
   mck::Result result = mck::Explorer().explore(scenario);
   logCoverage("revoke_vs_inflight", result);
+  EXPECT_FALSE(result.violated) << result.formatTrace();
+  EXPECT_TRUE(result.exhausted)
+      << "state space truncated at " << result.schedules << " schedules";
+  EXPECT_GT(result.schedules, 1u);
+}
+
+// --- lane FIFO vs epoch swap ------------------------------------------------
+
+// swapper's grant with the insert priority capped below modTo's 10: inserts
+// decided after the swap are denied.
+constexpr const char* kSwapperCapped =
+    "APP swapper\n"
+    "PERM read_statistics\n"
+    "PERM insert_flow LIMITING MAX_PRIORITY 5\n"
+    "PERM pkt_in_event\n";
+
+/// Two switches and the shield, no market: the swap under test is the
+/// engine's installAll itself.
+struct LaneRig {
+  LaneRig() : network(controller), shield(controller, mckOptions()) {
+    network.buildLinear(2);
+  }
+
+  ctrl::Controller controller;
+  sim::SimNetwork network;
+  iso::ShieldRuntime shield;
+};
+
+// Pipelined inserts on two (app, switch) deputy lanes race an installAll
+// that denies them. Each lane runs its calls in submission order and the
+// swap publishes in one epoch, so along a lane the verdicts are allowed and
+// then denied, never an insert allowed after an earlier one was denied, and
+// each switch holds exactly its lane's allowed prefix.
+TEST(Mck, LaneFifoVsEpochSwapGivesAMonotoneVerdictPrefix) {
+  struct Insert {
+    of::DatapathId dpid;
+    std::string dst;
+    ctrl::ApiFuture<ctrl::ApiResult> future;
+  };
+
+  auto scenario = [](mck::Run& run) {
+    auto rig = std::make_shared<LaneRig>();
+    auto app = std::make_shared<MckApp>("swapper", kSwapperV1);
+    of::AppId id =
+        rig->shield.loadApp(app, lang::parsePermissions(kSwapperV1));
+    auto capped = lang::parsePermissions(kSwapperCapped);
+    auto inserts = std::make_shared<std::vector<Insert>>();
+
+    run.thread("submitter", [app, inserts] {
+      const std::pair<of::DatapathId, const char*> plan[] = {
+          {1, "10.0.0.1"}, {2, "10.0.0.2"}, {1, "10.0.0.3"}};
+      for (auto [dpid, dst] : plan) {
+        inserts->push_back(
+            {dpid, dst,
+             app->context().api().insertFlowAsync(dpid, modTo(dst))});
+      }
+    });
+    run.thread("swap", [rig, id, capped] {
+      rig->shield.engine().installAll({{id, capped}});
+    });
+    run.finally([rig, inserts] {
+      mck::require(inserts->size() == 3,
+                   "submitter did not queue every insert");
+      for (of::DatapathId dpid : {1, 2}) {
+        std::size_t allowed = 0;
+        bool denied = false;
+        std::vector<of::FlowMatch> prefix;
+        for (Insert& insert : *inserts) {
+          if (insert.dpid != dpid) continue;
+          ctrl::ApiResult result = insert.future.get();
+          if (result.ok()) {
+            mck::require(!denied,
+                         "an insert was allowed after an earlier one on its "
+                         "lane was denied");
+            ++allowed;
+            prefix.push_back(modTo(insert.dst.c_str()).match);
+          } else {
+            mck::require(result.code() == ctrl::ApiErrc::kPermissionDenied,
+                         "insert failed for a reason other than the swap");
+            denied = true;
+          }
+        }
+        auto flows = rig->network.switchAt(dpid)->dumpFlows();
+        mck::require(flows.ok() && flows.value().size() == allowed,
+                     "switch rules differ from the allowed verdicts");
+        for (const of::FlowEntry& entry : flows.value()) {
+          mck::require(std::find(prefix.begin(), prefix.end(), entry.match) !=
+                           prefix.end(),
+                       "a rule outside the lane's allowed prefix landed");
+        }
+      }
+    });
+  };
+
+  mck::Result result = mck::Explorer().explore(scenario);
+  logCoverage("lane_fifo_vs_epoch_swap", result);
   EXPECT_FALSE(result.violated) << result.formatTrace();
   EXPECT_TRUE(result.exhausted)
       << "state space truncated at " << result.schedules << " schedules";

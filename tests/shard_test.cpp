@@ -270,6 +270,7 @@ class RecordingConn final : public ctrl::SwitchConn {
     return ctrl::ApiResult::success();
   }
   ctrl::ApiResult transmitPacket(const of::PacketOut&) override {
+    packetOuts_.fetch_add(1);
     return ctrl::ApiResult::success();
   }
   ctrl::ApiResponse<std::vector<of::FlowEntry>> dumpFlows() const override {
@@ -279,6 +280,7 @@ class RecordingConn final : public ctrl::SwitchConn {
       const of::StatsRequest&) const override {
     return ctrl::ApiResponse<of::StatsReply>::success({});
   }
+  std::uint64_t packetOutCount() const { return packetOuts_.load(); }
   std::vector<of::Bytes> frames() const {
     std::lock_guard lock(mutex_);
     return frames_;
@@ -291,6 +293,7 @@ class RecordingConn final : public ctrl::SwitchConn {
  private:
   mutable std::mutex mutex_;
   std::vector<of::Bytes> frames_;
+  std::atomic<std::uint64_t> packetOuts_{0};
 };
 
 /// One emulated switch's workload (the cbench shape): two MAC
@@ -377,15 +380,18 @@ struct Stack {
       }
     }
     // The shield posts events to the app thread; wait for every probe's
-    // flow-mod to land.
+    // flow-mod and every packet-out (two announcement floods, then one per
+    // probe) to land, so the audit totals compared below are final.
     auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
     for (auto& conn : conns) {
-      while (conn->frameCount() < rounds &&
+      while ((conn->frameCount() < rounds ||
+              conn->packetOutCount() < rounds + 2) &&
              std::chrono::steady_clock::now() < deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
       ASSERT_EQ(conn->frameCount(), rounds);
+      ASSERT_EQ(conn->packetOutCount(), rounds + 2);
     }
   }
 };

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 namespace sdnshield::sim {
 namespace {
 
@@ -206,6 +208,29 @@ TEST(SimNetwork, LinkDeliversBetweenSwitches) {
       1, tcpPacket(of::MacAddress::fromUint64(1), host->mac(),
                    of::Ipv4Address(10, 0, 0, 1), host->ip()));
   EXPECT_EQ(host->receivedCount(), 1u);
+}
+
+TEST(SimNetwork, LinkedSwitchesAndHostsAreFreedWithTheirStack) {
+  // Links and host ports wire sinks between switches and hosts; none of
+  // them may keep the others alive once the network and the controller it
+  // attached its switches to are gone.
+  std::weak_ptr<SimSwitch> first;
+  std::weak_ptr<SimSwitch> second;
+  std::weak_ptr<SimHost> host;
+  {
+    ctrl::Controller controller;
+    SimNetwork network(controller);
+    network.buildLinear(2);
+    first = network.switchAt(1);
+    second = network.switchAt(2);
+    host = network.hostByIp(of::Ipv4Address(10, 0, 0, 2));
+    ASSERT_FALSE(first.expired());
+    ASSERT_FALSE(second.expired());
+    ASSERT_FALSE(host.expired());
+  }
+  EXPECT_TRUE(first.expired());
+  EXPECT_TRUE(second.expired());
+  EXPECT_TRUE(host.expired());
 }
 
 TEST(SimNetwork, BuildLinearCreatesChainWithHosts) {

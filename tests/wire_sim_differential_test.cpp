@@ -5,7 +5,11 @@
 // sustain >= 1,024 concurrent switch connections doing it. Kernel flow-mods
 // sent over a TcpSwitchConn keep their issuer cookie, and a rule the codec
 // cannot express fails as a typed kFramingError before any byte is written.
+// The server hands each reactor wakeup's packet-ins to the controller in one
+// batch; the batching must keep a switch's messages in wire order and must
+// not lose packet-ins that arrive just before the peer closes.
 #include <gtest/gtest.h>
+#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -14,8 +18,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -154,14 +161,17 @@ struct SimMirror {
       }
     }
     // The shield posts events to the app thread; wait for every probe's
-    // flow-mod to land on its recording conn.
+    // flow-mod and every packet-out (two announcement floods, then one per
+    // probe) to land on its recording conn, so the audit totals are final.
     auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
     for (auto& conn : conns) {
-      while (conn->flowModCount() < rounds &&
+      while ((conn->flowModCount() < rounds ||
+              conn->packetOutCount() < rounds + 2) &&
              std::chrono::steady_clock::now() < deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
       ASSERT_EQ(conn->flowModCount(), rounds);
+      ASSERT_EQ(conn->packetOutCount(), rounds + 2);
     }
   }
 };
@@ -406,6 +416,190 @@ TEST(WireSimDifferential, NonPrefixMaskRuleIsRejectedAtTheWire) {
   EXPECT_EQ(result.code(), ctrl::ApiErrc::kFramingError);
   EXPECT_TRUE(sw.drain().empty()) << "no frame may reach the switch";
   EXPECT_EQ(sw.controller.ownership().totalTracked(), 0u);
+}
+
+/// A raw switch peer: connects, completes the handshake as @p dpid and then
+/// writes whatever frames the test hands it.
+class RawSwitch {
+ public:
+  RawSwitch(std::uint16_t port, of::DatapathId dpid) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+      ::close(fd_);
+      fd_ = -1;
+      return;
+    }
+    wire::FeaturesReply features;
+    features.xid = 2;
+    features.dpid = dpid;
+    of::Bytes hello = wire::encodeHello(1);
+    of::Bytes reply = wire::encodeFeaturesReply(features);
+    hello.insert(hello.end(), reply.begin(), reply.end());
+    send(hello);
+  }
+  ~RawSwitch() { close(); }
+
+  bool connected() const { return fd_ >= 0; }
+  void send(const of::Bytes& bytes) {
+    std::size_t offset = 0;
+    while (offset < bytes.size()) {
+      ssize_t n = ::send(fd_, bytes.data() + offset, bytes.size() - offset,
+                         MSG_NOSIGNAL);
+      if (n <= 0) return;
+      offset += static_cast<std::size_t>(n);
+    }
+  }
+  /// Sends FIN. (A close() with the server's handshake frames still unread
+  /// would send RST instead.)
+  void finish() { ::shutdown(fd_, SHUT_WR); }
+  void close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  int fd_ = -1;
+};
+
+of::PacketIn packetInOn(of::PortNo inPort) {
+  of::PacketIn packetIn;
+  packetIn.inPort = inPort;
+  packetIn.packet = of::Packet::makeTcp(
+      of::MacAddress::fromUint64(0xa), of::MacAddress::fromUint64(0xb),
+      of::Ipv4Address(10, 0, 0, 1), of::Ipv4Address(10, 0, 0, 2), 1234, 80,
+      of::tcpflags::kSyn);
+  return packetIn;
+}
+
+/// A bare controller behind the wire frontend, recording the order in which
+/// packet-ins (by ingress port), flow-removed and error events arrive.
+struct OrderProbe {
+  ctrl::Controller controller;
+  net::OfServer server{controller};
+  mutable std::mutex mutex;
+  std::vector<std::string> seen;
+
+  OrderProbe() {
+    auto record = [this](std::string what) {
+      std::lock_guard lock(mutex);
+      seen.push_back(std::move(what));
+    };
+    controller.addPacketInSubscriber(1, [record](const ctrl::Event& event) {
+      if (const auto* in = std::get_if<ctrl::PacketInEvent>(&event)) {
+        record("packet_in " + std::to_string(in->packetIn.inPort));
+      }
+    });
+    controller.addFlowSubscriber(1, [record](const ctrl::Event& event) {
+      if (std::holds_alternative<ctrl::FlowEvent>(event)) {
+        record("flow_removed");
+      }
+    });
+    controller.addErrorSubscriber(1, [record](const ctrl::Event& event) {
+      if (std::holds_alternative<ctrl::ErrorEvent>(event)) record("error");
+    });
+  }
+  ~OrderProbe() { server.stop(); }
+
+  /// Parks the server's reactor in a posted task until the returned
+  /// function is called, so what a peer writes meanwhile — frames and FIN
+  /// alike — is read in the reactor's next single wakeup.
+  std::function<void()> holdReactor() {
+    struct Hold {
+      std::mutex mutex;
+      std::condition_variable cv;
+      bool entered = false;
+      bool released = false;
+    };
+    auto hold = std::make_shared<Hold>();
+    server.reactor().post([hold] {
+      std::unique_lock lock(hold->mutex);
+      hold->entered = true;
+      hold->cv.notify_all();
+      hold->cv.wait(lock, [&] { return hold->released; });
+    });
+    std::unique_lock lock(hold->mutex);
+    hold->cv.wait(lock, [&] { return hold->entered; });
+    return [hold] {
+      // Loopback delivers synchronously; the pause only makes sure.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      std::lock_guard lock(hold->mutex);
+      hold->released = true;
+      hold->cv.notify_all();
+    };
+  }
+
+  std::vector<std::string> waitForEvents(std::size_t n) const {
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (std::chrono::steady_clock::now() < deadline) {
+      {
+        std::lock_guard lock(mutex);
+        if (seen.size() >= n) return seen;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::lock_guard lock(mutex);
+    return seen;
+  }
+};
+
+TEST(WireBatching, PacketInsAroundFlowRemovedAndErrorKeepWireOrder) {
+  OrderProbe probe;
+  std::string error;
+  ASSERT_TRUE(probe.server.start(&error)) << error;
+  RawSwitch sw(probe.server.port(), 7);
+  ASSERT_TRUE(sw.connected());
+  ASSERT_TRUE(probe.server.waitForSwitches(1, std::chrono::seconds(5)));
+
+  // Every frame is read in one wakeup: each flow-removed and error must
+  // still reach the controller after the packet-ins before it and before
+  // the packet-ins after it.
+  of::FlowRemoved removed;
+  removed.priority = 5;
+  of::ErrorMsg switchError;
+  switchError.detail = "table full";
+  of::Bytes stream;
+  for (const of::Bytes& frame :
+       {wire::encodePacketIn(packetInOn(1)), wire::encodeFlowRemoved(removed),
+        wire::encodePacketIn(packetInOn(2)), wire::encodeError(switchError),
+        wire::encodePacketIn(packetInOn(3))}) {
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  std::function<void()> release = probe.holdReactor();
+  sw.send(stream);
+  release();
+
+  std::vector<std::string> expected = {"packet_in 1", "flow_removed",
+                                       "packet_in 2", "error", "packet_in 3"};
+  EXPECT_EQ(probe.waitForEvents(expected.size()), expected);
+  EXPECT_EQ(probe.server.framingErrors(), 0u);
+}
+
+TEST(WireBatching, PacketInsReadJustBeforeEofAreDelivered) {
+  OrderProbe probe;
+  std::string error;
+  ASSERT_TRUE(probe.server.start(&error)) << error;
+  RawSwitch sw(probe.server.port(), 9);
+  ASSERT_TRUE(sw.connected());
+  ASSERT_TRUE(probe.server.waitForSwitches(1, std::chrono::seconds(5)));
+
+  // The reactor reads the last frames and the EOF in one wakeup.
+  of::Bytes stream;
+  for (of::PortNo port = 1; port <= 3; ++port) {
+    of::Bytes frame = wire::encodePacketIn(packetInOn(port));
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  std::function<void()> release = probe.holdReactor();
+  sw.send(stream);
+  sw.finish();
+  release();
+
+  std::vector<std::string> expected = {"packet_in 1", "packet_in 2",
+                                       "packet_in 3"};
+  EXPECT_EQ(probe.waitForEvents(expected.size()), expected);
 }
 
 }  // namespace
