@@ -767,9 +767,11 @@ TEST(MckMutation, PinnedCounterexampleReplays) {
 // torn publisher on real threads. A catch needs TWO full 64-app scans
 // inside one inter-install gap with zero epoch movement — the gap is one
 // compile-and-swap wide while each scan is 64 checks plus epoch reads, so
-// detection requires the OS to preempt the publisher mid-loop for the whole
-// double-scan. The explorer catches the same bug on its first session,
-// every time (the test above); this one documents the stress blind spot.
+// detection requires the OS to stall the publisher mid-loop for the whole
+// double-scan. How often that happens is a property of the host and of the
+// checker's speed, not of the bug. The explorer catches the same bug on its
+// first session, every time (the test above); this one documents that the
+// stress discipline never does so reliably.
 TEST(MckMutation, RealThreadStressDisciplineMissesTornPublisher) {
   constexpr int kApps = 64;
   constexpr int kRuns = 100;
@@ -833,32 +835,22 @@ TEST(MckMutation, RealThreadStressDisciplineMissesTornPublisher) {
   }
   programCache.setEnabled(cacheWasEnabled);
 
-  // Not a hard zero: a pathological preemption (the OS descheduling the
-  // publisher mid-loop for an entire double-scan, more likely on a loaded
-  // single-vCPU box) can hand the stress loop a catch. The contrast under
-  // test is reliability — the explorer is 1/1 deterministic, the stress
-  // discipline ~0/100 on an idle box — so the bound only asserts "misses
-  // the overwhelming majority", with wide headroom against CI load spikes.
-  // Under TSan the instrumentation itself rewrites the scheduling physics
-  // this test documents (~10× slower instrumented scans vs. timesliced
-  // installs hand a 1-vCPU box ~30% catches even on the pre-cache code),
-  // so there the assertion degrades to "never reliable": the explorer
-  // remains 1/1 while the stress loop must still miss at least once.
-#if defined(__SANITIZE_THREAD__)
-  constexpr bool kTsanBuild = true;  // GCC spells it this way.
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-  constexpr bool kTsanBuild = true;  // Clang spells it this way.
-#else
-  constexpr bool kTsanBuild = false;
-#endif
-#else
-  constexpr bool kTsanBuild = false;
-#endif
-  const int catchBound = kTsanBuild ? kRuns - 1 : kRuns / 4;
-  EXPECT_LE(caught.load(), catchBound)
-      << "stress discipline caught the torn publisher " << caught.load()
-      << "/" << kRuns << " times — the mck blind-spot argument needs review";
+  // The claim is "never reliable": the stress loop misses at least once in
+  // kRuns runs, while the explorer is 1/1. The catch rate itself is not
+  // asserted, because it moves with the host and with the engine's check
+  // cost. Catches per 100 runs, Release build on a 4-vCPU shared host, for
+  // this engine (with the thread-local decision memo) and for a build that
+  // deletes the memo, side by side:
+  //   110 interleaved standalone runs each   memo 0-13   no memo 0-77
+  //   12 runs each right after `ctest -j`    memo 1-23   no memo 6-66
+  // A fresh checker's first check allocates the memo's ~320 KiB of slots,
+  // which takes up most of the ~300 us publish before its first scan ends;
+  // without the memo the checker scans from the start. A rate bound would
+  // hold for the memo engine only through that start-up cost, and under
+  // TSan the instrumented scans change the ratio again.
+  EXPECT_LT(caught.load(), kRuns)
+      << "stress discipline caught the torn publisher in every one of "
+      << kRuns << " runs — the mck blind-spot argument needs review";
   RecordProperty("stress_catches", caught.load());
 }
 
