@@ -19,7 +19,6 @@
 #include "apps/l2_learning.h"
 #include "apps/traffic_engineering.h"
 #include "cbench/generator.h"
-#include "core/engine/permission_engine.h"
 #include "core/lang/perm_parser.h"
 #include "isolation/api_proxy.h"
 #include "switchsim/sim_network.h"
@@ -117,7 +116,6 @@ Percentiles runAltoTe(std::size_t switches, bool shielded) {
 }  // namespace
 
 int main() {
-  engine::PermissionEngine::resetMemoStats();
   std::printf("=== Figure 6a: L2 learning switch control-plane latency ===\n");
   std::printf("%-10s %-12s %12s %12s %12s %10s\n", "switches", "controller",
               "p10(us)", "median(us)", "p90(us)", "timeouts");
@@ -162,15 +160,5 @@ int main() {
       "\nExpected shape (paper): SDNShield bars nearly indistinguishable "
       "from baseline;\noverhead tens of microseconds, far below data-center "
       "end-to-end latency.\n");
-
-  // Decision-memo effectiveness across every shielded run above (checks run
-  // on deputy threads; the counters are process-wide). Emitted as JSON so
-  // the number can be scraped into BENCH_perm_engine.json / EXPERIMENTS.md.
-  engine::MemoStats memo = engine::PermissionEngine::memoStats();
-  std::printf(
-      "\n{\"bench\":\"bench_latency\",\"decision_memo\":{\"hits\":%llu,"
-      "\"misses\":%llu,\"hit_rate\":%.4f}}\n",
-      static_cast<unsigned long long>(memo.hits),
-      static_cast<unsigned long long>(memo.misses), memo.hitRate());
   return 0;
 }

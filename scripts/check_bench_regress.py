@@ -8,10 +8,10 @@ introduces — while staying green through ordinary CI noise. Every watched
 metric carries its own tolerance band in scripts/bench_baselines.json:
 
   {"metrics": [
-     {"id": "memo_hot_5",
+     {"id": "engine_check_hot_ns_5",
       "source": "gbench",            # gbench | jsonl
-      "file": "perm",                # which --<file> argument to read
-      "select": {"name": "BM_EngineCheck_MemoHot/5"},   # row match
+      "file": "perm_hot",            # which --<file> argument to read
+      "select": {"name": "BM_EngineCheck_Hot/5"},   # row match
       "field": "real_time",          # measured value
       "baseline": 57.3,
       "max_ratio": 8.0},             # fail if measured > baseline*max_ratio
@@ -29,6 +29,7 @@ enough that an order-of-magnitude regression cannot hide.
 Usage:
   check_bench_regress.py --baselines scripts/bench_baselines.json \
       --perm build/bench_smoke_perm.json \
+      --perm-hot build/bench_smoke_perm_hot.json \
       --live build/bench_smoke_live.txt \
       --throughput build/bench_smoke_throughput.txt \
       --wire build/bench_smoke_wire.txt
@@ -68,6 +69,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baselines", required=True)
     parser.add_argument("--perm", help="gbench JSON from bench_perm_engine")
+    parser.add_argument("--perm-hot", help="gbench JSON from bench_perm_engine's "
+                        "gated EngineCheck_Hot rows, run alone")
     parser.add_argument("--live", help="JSONL from bench_reconciliation --live")
     parser.add_argument("--throughput", help="JSONL from bench_throughput")
     parser.add_argument("--wire", help="JSONL from bench_wire / sdnshield cbench")
@@ -78,6 +81,7 @@ def main():
 
     files = {
         "perm": args.perm,
+        "perm_hot": args.perm_hot,
         "live": args.live,
         "throughput": args.throughput,
         "wire": args.wire,
@@ -90,7 +94,8 @@ def main():
         file_key = metric["file"]
         path = files.get(file_key)
         if path is None:
-            sys.exit(f"check_bench_regress: metric '{metric_id}' needs --{file_key}")
+            flag = file_key.replace("_", "-")
+            sys.exit(f"check_bench_regress: metric '{metric_id}' needs --{flag}")
         if file_key not in cache:
             loader = load_gbench if metric["source"] == "gbench" else load_jsonl
             cache[file_key] = loader(path)

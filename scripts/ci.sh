@@ -13,7 +13,8 @@
 #      checked-in artifacts (BENCH_perm_engine.json,
 #      BENCH_reconciliation_live.json, BENCH_throughput_pressure.json) are
 #      schema-validated too, and check_bench_regress.py gates the smoke
-#      NUMBERS against scripts/bench_baselines.json tolerance bands. Last,
+#      NUMBERS against scripts/bench_baselines.json tolerance bands (the
+#      gated per-check rows from their own, longer run). Last,
 #      the bench_e2e package (BENCHMARK.json's benchmark) is built in its
 #      own tree with -Werror against src/ and its smoke test runs, so a
 #      src/ change that breaks the benchmark fails here.
@@ -98,6 +99,14 @@ echo "=== [2/8] Bench smoke (schema-validated output) ==="
     --benchmark_format=json > build/bench_smoke_perm.json
 python3 scripts/check_bench_json.py --schema scripts/bench_schema.json \
     --key gbench build/bench_smoke_perm.json
+# The two gated per-check rows run again, alone and ten times longer: at
+# 0.01 s a ~100 ns row spreads 2-3x on a loaded runner, and the gate's band
+# stays narrow rather than widening to cover that.
+./build/bench/bench_perm_engine --benchmark_min_time=0.1 \
+    --benchmark_filter='^BM_EngineCheck_Hot/(5|15)$' \
+    --benchmark_format=json > build/bench_smoke_perm_hot.json
+python3 scripts/check_bench_json.py --schema scripts/bench_schema.json \
+    --key gbench build/bench_smoke_perm_hot.json
 ./build/bench/bench_degraded_mode --events 200 > build/bench_smoke_degraded.txt
 python3 scripts/check_bench_json.py --schema scripts/bench_schema.json \
     --key degraded_mode_row --jsonl build/bench_smoke_degraded.txt
@@ -168,6 +177,7 @@ python3 scripts/check_bench_json.py --schema scripts/bench_schema.json \
 # regression fails here).
 python3 scripts/check_bench_regress.py --baselines scripts/bench_baselines.json \
     --perm build/bench_smoke_perm.json \
+    --perm-hot build/bench_smoke_perm_hot.json \
     --live build/bench_smoke_live.txt \
     --throughput build/bench_smoke_throughput.txt \
     --wire build/bench_smoke_wire.txt

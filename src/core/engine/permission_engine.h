@@ -3,7 +3,7 @@
 // path. Checking is stateless, allocation-free on the allow path, and safe
 // to run from many kernel-deputy threads concurrently.
 //
-// Hot-path design (three layers, see DESIGN.md "Permission hot path"):
+// Hot-path design (two layers, see DESIGN.md "Permission hot path"):
 //  1. Singleton filters are interned (core/perm/interner.h) so duplicate
 //     literals across programs share one slot and one evaluation.
 //  2. Filter expressions are optimized before compilation — constant
@@ -12,11 +12,10 @@
 //     cheap-filters-first reordering — and compiled to a branch program
 //     with short-circuit jumps evaluated by a single-register VM (no
 //     evaluation stack to overflow).
-//  3. PermissionEngine::check memoizes decisions per (app, canonical call
-//     key) in a thread-local direct-mapped cache, and resolves the app's
-//     compiled set in a per-thread pin of the whole app table validated by
-//     a single version-counter load, touching shared state only when the
-//     table actually changed.
+// PermissionEngine::check resolves the app's compiled set in a per-thread
+// pin of the whole app table, validated by a single version-counter load,
+// and runs the compiled program; it touches shared state only when the
+// table actually changed.
 #pragma once
 
 #include <atomic>
@@ -47,20 +46,6 @@ struct Decision {
   static Decision allow() { return Decision{true, {}}; }
   static Decision deny(std::string reason) {
     return Decision{false, std::move(reason)};
-  }
-};
-
-/// Process-wide counters of the decision memo caches (see
-/// PermissionEngine::check). The caches themselves are thread-local; the
-/// counters aggregate across threads so end-to-end harnesses can report a
-/// hit rate for checks performed on deputy threads.
-struct MemoStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-
-  double hitRate() const {
-    std::uint64_t total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) / total;
   }
 };
 
@@ -106,11 +91,6 @@ class CompiledPermissions {
   /// folds show up as shorter programs.
   std::size_t programLength(perm::Token token) const;
 
-  /// Process-unique identity of this compiled set; memo-cache entries are
-  /// keyed on it, so a recompiled (reinstalled) set never aliases a stale
-  /// decision.
-  std::uint64_t instanceId() const { return instanceId_; }
-
  private:
   // One-register branch VM. kPush loads a filter label into the register;
   // kJumpIfFalse/kJumpIfTrue short-circuit AND/OR: taken, the register
@@ -143,7 +123,6 @@ class CompiledPermissions {
   std::map<const perm::Filter*, std::uint32_t> filterSlots_;
   std::shared_ptr<const perm::PhysicalTopologyFilter> topologyProjection_;
   std::optional<std::set<of::DatapathId>> virtualMembers_;
-  std::uint64_t instanceId_ = 0;
 };
 
 /// Process-wide cache of compiled permission programs, keyed on the
@@ -153,11 +132,10 @@ class CompiledPermissions {
 /// across apps, engines, and permission epochs; a market-wide updatePolicy
 /// where most apps keep their grants compiles each distinct set once
 /// instead of once per app. Entries hold strong references; at capacity the
-/// least-recently-obtained entry is evicted (outstanding shared_ptrs — and
-/// the thread-memo entries keyed on their instanceId() — stay valid as long
-/// as any holder keeps them), so a market whose distinct-set population
-/// exceeds the capacity keeps its hot programs cached instead of losing the
-/// whole table to a wholesale clear.
+/// least-recently-obtained entry is evicted (outstanding shared_ptrs stay
+/// valid as long as any holder keeps them), so a market whose distinct-set
+/// population exceeds the capacity keeps its hot programs cached instead of
+/// losing the whole table to a wholesale clear.
 class CompiledProgramCache {
  public:
   /// Default capacity: the LRU eviction threshold. Far above any real
@@ -227,11 +205,9 @@ class CompiledProgramCache {
 /// compiled set is reached through a raw pointer the pin keeps alive. Only
 /// the first call after an epoch change takes snapshotMutex_, once, to copy
 /// the table pointer; a check therefore sees every pre-swap or every
-/// post-swap grant, never a mixture. Repeated decisions are served from a
-/// thread-local memo keyed on the canonicalized call attributes (exact key
-/// comparison — a hash collision can never flip a decision). The pin is a
-/// few words of its own: threads that only resolve compiled sets (deputy,
-/// shard and app threads) never allocate the memo. (libstdc++'s
+/// post-swap grant, never a mixture. The pin is a few words per thread, and
+/// a check runs the compiled program directly, the same path Mediation
+/// takes, so an allowed check allocates nothing. (libstdc++'s
 /// std::atomic<std::shared_ptr> is the same micro-mutex — an embedded
 /// spinlock — but its GCC 12 implementation unlocks with a relaxed RMW in
 /// load(), a formal data race that TSan reports; the plain mutex is
@@ -260,8 +236,8 @@ class PermissionEngine {
   /// per reconcile unit, every member app sharing the program). Skips the
   /// per-app compile/lookup entirely — the swap cost is one map insert per
   /// app — and bumps the epoch once, exactly like the compiling overload.
-  /// Sharing one program across apps is decision-safe: the thread-local
-  /// memo keys on (program instance, serialized call incl. call.app).
+  /// Sharing one program across apps is decision-safe: CompiledPermissions
+  /// is app-agnostic, and deny reasons name the app from the call itself.
   void installAll(
       std::vector<std::pair<of::AppId,
                             std::shared_ptr<const CompiledPermissions>>>
@@ -282,17 +258,12 @@ class PermissionEngine {
   /// Compiled permissions of an app (nullptr when not installed).
   std::shared_ptr<const CompiledPermissions> compiled(of::AppId app) const;
 
-  /// Process-wide decision memo counters (hits/misses recorded by any
-  /// engine on any thread since the last reset).
-  static MemoStats memoStats();
-  static void resetMemoStats();
-
-  /// Clears the CALLING thread's decision memo and drops its table pin.
-  /// The shard runtime runs this on every loop inside the publish fence so
-  /// each shard's memo domain hands over explicitly at an epoch boundary
-  /// (the epoch-validated memo would lazily converge anyway; the fence
-  /// makes the handover a barrier the cross-shard protocol can order on).
-  static void resetThreadMemo();
+  /// Drops the CALLING thread's table pin. The shard runtime runs this on
+  /// every loop inside the publish fence, so each shard hands over its pin
+  /// explicitly at an epoch boundary (the version-validated pin would
+  /// re-pin lazily on the next check anyway; the fence makes the handover a
+  /// barrier the cross-shard protocol can order on).
+  static void releaseThreadPin();
 
   /// Hook invoked after every installAll epoch publish, outside the engine
   /// locks. The shard runtime installs a cross-shard fence here (DESIGN.md

@@ -10,7 +10,7 @@
 namespace sdnshield::obs {
 
 /// Plain-text rendering, one metric per line:
-///   counter engine.check.memo_hit 123456
+///   counter engine.check.vm_runs 123456
 ///   gauge   ksd.queue_depth 3
 ///   hist    ksd.call_ns count=42 mean=183ns p50<=255ns p99<=4095ns
 std::string renderText(const Snapshot& snapshot);

@@ -296,10 +296,10 @@ void ShardRuntime::detach(ctrl::Controller& controller) {
 void ShardRuntime::attachEngine(engine::PermissionEngine& engine) {
   engine.setPublishFence([this] {
     // Epoch publish ordering (DESIGN.md §16): the table swap and version
-    // bump happened-before this fence; each loop then resets its
-    // thread-local memo, so every shard's next check resolves against the
-    // new epoch — the cross-shard mailbox for policy publishes.
-    fence([](std::size_t) { engine::PermissionEngine::resetThreadMemo(); });
+    // bump happened-before this fence; each loop then drops its table pin,
+    // so every shard's next check resolves against the new epoch — the
+    // cross-shard mailbox for policy publishes.
+    fence([](std::size_t) { engine::PermissionEngine::releaseThreadPin(); });
   });
 }
 

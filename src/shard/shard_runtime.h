@@ -1,6 +1,6 @@
 // The sharded controller substrate (DESIGN.md §16): N per-core event
 // loops, each owning a lock-free MPSC ring + doorbell and (via
-// thread-locality) its own permission-memo domain. A deterministic Router
+// thread-locality) its own permission-table pin. A deterministic Router
 // maps dpid -> shard; cross-shard traffic exists only for topology-wide
 // operations — policy epoch publishes (the engine publish fence), app
 // quarantine and statsReport merges — which run as a fence: one task per
@@ -98,9 +98,9 @@ class ShardRuntime final : public ctrl::ShardDispatch {
   /// the controller when the caller proceeds to tear things down.
   void detach(ctrl::Controller& controller);
   /// Installs the engine's publish fence: every installAll epoch swap runs
-  /// a barrier over all shard loops that resets each loop's thread-local
-  /// permission memo — the per-shard memo/epoch domain handover. The engine
-  /// must outlive this runtime or be detached first.
+  /// a barrier over all shard loops that drops each loop's thread-local
+  /// permission-table pin — the per-shard epoch handover. The engine must
+  /// outlive this runtime or be detached first.
   void attachEngine(engine::PermissionEngine& engine);
   void detachEngine(engine::PermissionEngine& engine);
 

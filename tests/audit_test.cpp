@@ -3,29 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <deque>
-#include <new>
 #include <random>
 #include <sstream>
 #include <thread>
 
-namespace {
-// Counts heap allocations made by the calling thread while armed, so a test
-// can assert that a code path allocates nothing.
-thread_local bool t_countAllocations = false;
-thread_local std::uint64_t t_allocations = 0;
-}  // namespace
-
-// GCC cannot see that this operator new pairs with the free() below.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t size) {
-  if (t_countAllocations) ++t_allocations;
-  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
-  throw std::bad_alloc();
-}
-void operator delete(void* block) noexcept { std::free(block); }
-void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+#include "alloc_counter.h"
 
 namespace sdnshield::engine {
 namespace {

@@ -1,7 +1,6 @@
 // Concurrency stress for PermissionEngine: hammers check() from reader
 // threads while writer threads install/uninstall apps, exercising the
-// per-thread app-table pin, its epoch invalidation and the thread-local
-// decision memo's instance-id invalidation. Run under TSan via
+// per-thread app-table pin and its epoch invalidation. Run under TSan via
 // scripts/ci.sh (SDNSHIELD_SANITIZE=thread) to catch data races, and under
 // ASan for the pin-outlives-engine case.
 #include <gtest/gtest.h>
@@ -120,19 +119,19 @@ TEST(EngineConcurrencyTest, ParallelCheckInstallUninstallIsLinearizable) {
   EXPECT_GE(checksDone.load(), 20'000u) << "checkers starved";
 }
 
-// Reinstalling an app must invalidate memoized decisions: the same call that
-// the permissive manifest allowed has to be denied after the restrictive one
-// replaces it, even though the memo key is identical.
-TEST(EngineConcurrencyTest, ReinstallInvalidatesMemoizedDecisions) {
+// Reinstalling an app flips the same thread's next decision: the same call
+// that the permissive manifest allowed has to be denied after the
+// restrictive one replaces it, though this thread pinned the old table.
+TEST(EngineConcurrencyTest, ReinstallFlipsTheSameThreadsNextDecision) {
   PermissionEngine engine;
   constexpr of::AppId kApp = 9;
   ApiCall call = insertCall(kApp, 443);
 
   engine.install(kApp, tpDstOnlyManifest(443));
   EXPECT_TRUE(engine.check(call).allowed);
-  EXPECT_TRUE(engine.check(call).allowed);  // Memoized on this thread.
+  EXPECT_TRUE(engine.check(call).allowed);  // Served from this thread's pin.
 
-  engine.install(kApp, tpDstOnlyManifest(80));  // Recompile -> new instanceId.
+  engine.install(kApp, tpDstOnlyManifest(80));  // New epoch, new program.
   EXPECT_FALSE(engine.check(call).allowed);
 
   engine.uninstall(kApp);

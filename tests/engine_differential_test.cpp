@@ -1,13 +1,14 @@
 // Randomized differential harness for the filter algebra and the optimized
-// permission engine (ISSUE 1): pins CompiledPermissions' optimizer + branch
-// VM and PermissionEngine's decision memo to the naive tree-walk reference
-// (FilterExpr::evaluate), pins CNF/DNF against the same reference, and
-// checks Algorithm 1's soundness property over expressions that span every
-// filter kind.
+// permission engine: pins CompiledPermissions' optimizer + branch VM and
+// PermissionEngine::check (table pin + program) to the naive tree-walk
+// reference (FilterExpr::evaluate), pins CNF/DNF against the same reference,
+// and checks Algorithm 1's soundness property over expressions that span
+// every filter kind.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine/permission_engine.h"
@@ -241,7 +242,7 @@ class EngineDifferentialTest : public ::testing::TestWithParam<unsigned> {};
 
 // ≥5,000 (permission set, call) pairs across the 10 seeds: 10 x 25 sets x
 // 25 calls = 6,250 compiled-path comparisons, plus the same pairs again
-// through PermissionEngine (memoized path, each call issued twice).
+// through PermissionEngine (each call issued twice).
 TEST_P(EngineDifferentialTest, CompiledCheckMatchesNaiveTreeWalk) {
   Rng rng(GetParam());
   for (int setIdx = 0; setIdx < 25; ++setIdx) {
@@ -257,7 +258,7 @@ TEST_P(EngineDifferentialTest, CompiledCheckMatchesNaiveTreeWalk) {
   }
 }
 
-TEST_P(EngineDifferentialTest, MemoizedEngineMatchesNaiveTreeWalk) {
+TEST_P(EngineDifferentialTest, EngineCheckMatchesNaiveTreeWalk) {
   Rng rng(GetParam() + 10'000);
   PermissionEngine engine;
   for (int setIdx = 0; setIdx < 25; ++setIdx) {
@@ -267,8 +268,8 @@ TEST_P(EngineDifferentialTest, MemoizedEngineMatchesNaiveTreeWalk) {
     for (int callIdx = 0; callIdx < 25; ++callIdx) {
       ApiCall call = randomCall(rng, kApp);
       Decision expected = referenceCheck(permissions, call);
-      // Twice: the second check exercises the memo-hit path, and a stale
-      // entry surviving the reinstall above would be caught here too.
+      // Twice: the second check runs on the pin the first one took, and a
+      // pin surviving the reinstall above would be caught here too.
       for (int repeat = 0; repeat < 2; ++repeat) {
         Decision actual = engine.check(call);
         ASSERT_EQ(actual.allowed, expected.allowed)
@@ -296,26 +297,45 @@ TEST_P(EngineDifferentialTest, NormalFormsMatchNaiveTreeWalk) {
   }
 }
 
-// Soundness property from normal_form.h: includes(a, b) == true must never
-// be contradicted by a call that b allows and a denies.
-TEST_P(EngineDifferentialTest, InclusionVerdictIsSoundOverAllFilterKinds) {
-  Rng rng(GetParam() + 30'000);
-  int verdicts = 0;
-  for (int pairIdx = 0; pairIdx < 40; ++pairIdx) {
-    FilterExprPtr a = randomExpr(rng, 3);
-    FilterExprPtr b = rng() % 4 == 0 ? a : randomExpr(rng, 3);
-    if (!perm::filterIncludes(a, b)) continue;
-    ++verdicts;
-    for (int callIdx = 0; callIdx < 50; ++callIdx) {
-      ApiCall call = randomCall(rng, 1);
-      if (b->evaluate(call)) {
-        ASSERT_TRUE(a->evaluate(call))
-            << "a=" << a->toString() << "\nb=" << b->toString()
-            << "\ncall=" << call.toString();
-      }
+/// Soundness property from normal_form.h: a positive inclusion verdict must
+/// never be contradicted by a sampled call that @p sub allows and @p super
+/// rejects.
+void expectSoundInclusion(const FilterExprPtr& super, const FilterExprPtr& sub,
+                          Rng& rng) {
+  if (!perm::filterIncludes(super, sub)) return;
+  for (int callIdx = 0; callIdx < 50; ++callIdx) {
+    ApiCall call = randomCall(rng, 1);
+    if (sub->evaluate(call)) {
+      ASSERT_TRUE(super->evaluate(call))
+          << "super=" << super->toString() << "\nsub=" << sub->toString()
+          << "\ncall=" << call.toString();
     }
   }
-  EXPECT_GT(verdicts, 0) << "no positive inclusion verdicts sampled";
+}
+
+// Pairs in relation by construction, over every filter kind: a ⊇ a AND g
+// and a OR g ⊇ a, each in both operand orders. Algorithm 1 must find every
+// pair, and a positive verdict in either direction must survive the
+// sampled calls — the reverse direction is what catches a clause scan that
+// skips a clause.
+TEST_P(EngineDifferentialTest, InclusionVerdictIsSoundOverAllFilterKinds) {
+  Rng rng(GetParam() + 30'000);
+  for (int pairIdx = 0; pairIdx < 10; ++pairIdx) {
+    FilterExprPtr a = randomExpr(rng, 3);
+    FilterExprPtr g = randomExpr(rng, 3);
+    const std::pair<FilterExprPtr, FilterExprPtr> pairs[] = {
+        {a, FilterExpr::conj(a, g)},
+        {a, FilterExpr::conj(g, a)},
+        {FilterExpr::disj(a, g), a},
+        {FilterExpr::disj(g, a), a},
+    };
+    for (const auto& [super, sub] : pairs) {
+      EXPECT_TRUE(perm::filterIncludes(super, sub))
+          << "super=" << super->toString() << "\nsub=" << sub->toString();
+      expectSoundInclusion(super, sub, rng);
+      expectSoundInclusion(sub, super, rng);
+    }
+  }
 }
 
 // The interner must never merge filters that differ semantically: two

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "alloc_counter.h"
 #include "core/lang/perm_parser.h"
 
 namespace sdnshield::engine {
@@ -169,6 +172,34 @@ TEST(PermissionEngine, ConcurrentChecksAreSafe) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(denials.load(), 4 * 2000);  // Odd threads always denied.
+}
+
+// A warm allowed check allocates nothing: 1,000 distinct allowed calls, each
+// run through the compiled filter program, make no heap allocation on the
+// checking thread.
+TEST(PermissionEngine, WarmAllowedCheckAllocatesNothing) {
+  PermissionEngine engine;
+  engine.install(1, parsePermissions(
+                        "PERM insert_flow LIMITING IP_DST 10.13.0.0 MASK "
+                        "255.255.0.0\n"));
+  std::vector<ApiCall> calls;
+  for (int i = 0; i < 1000; ++i) {
+    std::string ip = "10.13." + std::to_string(i / 250) + "." +
+                     std::to_string(i % 250 + 1);
+    calls.push_back(ApiCall::insertFlow(1, 1, modTo(ip.c_str())));
+  }
+  // Warm-up on a call outside the set: pins the table and touches every
+  // per-thread counter shard the check path writes.
+  ASSERT_TRUE(engine.check(ApiCall::insertFlow(1, 1, modTo("10.13.9.9")))
+                  .allowed);
+
+  std::size_t allowed = 0;
+  t_allocations = 0;
+  t_countAllocations = true;
+  for (const ApiCall& call : calls) allowed += engine.check(call).allowed;
+  t_countAllocations = false;
+  EXPECT_EQ(allowed, calls.size());
+  EXPECT_EQ(t_allocations, 0u);
 }
 
 TEST(PermissionEngine, SourcePermissionsAreIntrospectable) {

@@ -493,9 +493,9 @@ TEST(Mck, ParallelReconcileVsCheckStaysAtomicAndServesFromMemo) {
 // The sharded substrate (DESIGN.md §16) under the explorer: a 2-shard
 // ShardRuntime registers virtual queues instead of loop threads, and a
 // publisher swaps BOTH apps' grants in one installAll — table swap, one
-// epoch bump, then the publish fence that runs a memo-reset task on every
-// shard queue. The checker's bracket deliberately spans BOTH memo domains:
-// app A is probed on shard 0 and app B on shard 1, so whatever order the
+// epoch bump, then the publish fence that runs a pin-release task on every
+// shard queue. The checker's bracket deliberately spans BOTH shards' table
+// pins: app A is probed on shard 0 and app B on shard 1, so whatever order the
 // swap, the bump, the two fence tasks and the shard-local checks interleave
 // in, two different shards' views at one stable epoch must still be a
 // coherent grant set — and once installAll has returned (fence complete)
@@ -529,8 +529,8 @@ TEST(Mck, CrossShardEpochPublishVsShardLocalChecks) {
       rig->published = true;  // installAll returned: every shard was fenced.
     });
     run.thread("checker", [rig, idA, idB] {
-      // Round 0 warms each shard's memo against the pre-publish grants;
-      // round 1 is the probe that can race the swap, bump and fence tasks.
+      // Round 0 pins each shard's table at the pre-publish grants; round 1
+      // is the probe that can race the swap, bump and fence tasks.
       for (int round = 0; round < 2; ++round) {
         bool publishedBefore = rig->published;
         std::uint64_t e1 = 0;
@@ -839,15 +839,15 @@ TEST(MckMutation, RealThreadStressDisciplineMissesTornPublisher) {
   // kRuns runs, while the explorer is 1/1. The catch rate itself is not
   // asserted, because it moves with the host and with the engine's check
   // cost. Catches per 100 runs, Release build on a 4-vCPU shared host, for
-  // this engine (with the thread-local decision memo) and for a build that
-  // deletes the memo, side by side:
-  //   110 interleaved standalone runs each   memo 0-13   no memo 0-77
-  //   12 runs each right after `ctest -j`    memo 1-23   no memo 6-66
-  // A fresh checker's first check allocates the memo's ~320 KiB of slots,
-  // which takes up most of the ~300 us publish before its first scan ends;
-  // without the memo the checker scans from the start. A rate bound would
-  // hold for the memo engine only through that start-up cost, and under
-  // TSan the instrumented scans change the ratio again.
+  // an engine that memoized decisions in a thread-local cache and for this
+  // engine, which runs the compiled program on every check, side by side:
+  //   110 interleaved standalone runs each   memo 0-13   this engine 0-77
+  //   12 runs each right after `ctest -j`    memo 1-23   this engine 6-66
+  // The memo engine's fresh checker spent most of the ~300 us publish
+  // allocating ~320 KiB of memo slots on its first check; this engine's
+  // checker scans from the start. A rate bound held for the memo engine
+  // only through that start-up cost, and under TSan the instrumented scans
+  // change the ratio again.
   EXPECT_LT(caught.load(), kRuns)
       << "stress discipline caught the torn publisher in every one of "
       << kRuns << " runs — the mck blind-spot argument needs review";
